@@ -33,13 +33,13 @@ bench:
 # Machine-readable benchmark artifact: a reduced-scale fig6+fig7 sweep
 # writes per-run JSON manifests (Manifest.Encode verifies each one
 # round-trips through encoding/json) and the aggregate index becomes
-# BENCH_pr10.json — the headline numbers a perf trajectory can diff.
+# BENCH_pr13.json — the headline numbers a perf trajectory can diff.
 # Committed BENCH_pr*.json baselines from earlier PRs are never rewritten.
 bench-json:
 	rm -rf manifests
 	$(GO) run ./cmd/sccbench -experiment fig6,fig7 \
 	    -workloads xalancbmk,mcf,lbm -max-uops 30000 -json manifests > /dev/null
-	cp manifests/index.json BENCH_pr10.json
+	cp manifests/index.json BENCH_pr13.json
 
 # Regression gate: regenerate the reduced-scale sweep and diff it against
 # the committed PR-2 baseline with direction-aware thresholds (sccdiff
@@ -77,9 +77,10 @@ serve:
 
 # Service smoke gate: brings sccserve up on a random port, submits a
 # reduced-workload job twice (the repeat must be a cache hit with a
-# byte-identical manifest), checks /healthz and /metrics, scrapes
-# /metrics.prom twice and validates the Prometheus exposition (line
-# syntax, TYPE/HELP coverage, counters monotonic across the scrapes),
+# byte-identical manifest), checks /healthz, scrapes /metrics.prom twice
+# — the job counters must show the run and its cache hit — and validates
+# the Prometheus exposition (line syntax, TYPE/HELP coverage, counters
+# monotonic across the scrapes),
 # checks the /debug/flight ring, verifies the tracing contract
 # (traceparent echo, well-formed span tree, exemplar→trace link,
 # byte-stable normalized exports), and drains cleanly. Wired into CI
@@ -100,10 +101,10 @@ trace-race:
 	$(GO) test -race ./internal/tracing ./internal/harness ./internal/serve
 
 # Snapshot determinism gate: the checkpoint/restore byte-identity
-# contracts — restored machines continuing bit-exactly, snapshot-restored
-# sharded sweeps matching the serial detailed estimator, and store
-# self-healing — explicitly, under the race detector (the fan-out is
-# concurrent). make check runs -race repo-wide; this names the gate so a
+# contracts — restored machines continuing bit-exactly, the
+# snapshot-restored SimPoint estimator matching the serial detailed
+# estimator, and store self-healing — explicitly, under the race
+# detector (the fan-out is concurrent). make check runs -race repo-wide; this names the gate so a
 # snapshot regression fails with a pointed target.
 snapshot-race:
 	$(GO) test -race -run 'TestSnapshot' ./internal/pipeline ./internal/harness

@@ -287,33 +287,6 @@ func BenchmarkMachineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSimPoint measures the sharded SimPoint estimator's wall
-// scaling: the same representative set measured with functional
-// fast-forward shards at 1 and 4 workers. The per-op time ratio between
-// the sub-benches is the wall speedup the sharding buys.
-func BenchmarkShardedSimPoint(b *testing.B) {
-	w, ok := workloads.ByName("xalancbmk")
-	if !ok {
-		b.Fatal("unknown workload")
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(name("workers", workers), func(b *testing.B) {
-			opts := Options{MaxUops: 200_000, Parallel: workers}
-			var r *harness.SimPointResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				r, err = harness.SimPointEstimateSharded(
-					SCCConfig(LevelFull), w, 25_000, 6, harness.WarmupFunctional, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.WeightedIPC, "weighted-ipc")
-			b.ReportMetric(float64(len(r.Points)), "shards")
-		})
-	}
-}
-
 // BenchmarkSnapshotRoundTrip measures the checkpoint codec itself —
 // Snapshot (encode + integrity digest) plus NewMachineFromSnapshot
 // (verify + decode + machine rebuild) — on a machine warmed through one
@@ -350,12 +323,11 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(len(data)), "snapshot-bytes")
 }
 
-// BenchmarkSweepWarmupAmortized is the PR's headline number: the same
-// detailed SimPoint estimate through the sharded path (every shard
-// re-pays its detailed warmup prefix) and the snapshot path (the warmup
-// walked once into the store, every shard restored from it). The per-op
-// time ratio between the sub-benches is the warmup amortization; both
-// produce byte-identical results (TestSnapshotSimPointMatchesSerial).
+// BenchmarkSweepWarmupAmortized measures the snapshot SimPoint
+// estimator against a persistent store: the first iteration walks the
+// detailed warmup once into the store, and every later one restores each
+// shard from it. Results are byte-identical to the serial estimator
+// (TestSnapshotSimPointMatchesSerial).
 func BenchmarkSweepWarmupAmortized(b *testing.B) {
 	w, ok := workloads.ByName("xalancbmk")
 	if !ok {
@@ -363,18 +335,6 @@ func BenchmarkSweepWarmupAmortized(b *testing.B) {
 	}
 	const interval, k = 25_000, 6
 	opts := Options{MaxUops: 200_000, Parallel: 4}
-	b.Run("sharded-detailed", func(b *testing.B) {
-		var r *harness.SimPointResult
-		var err error
-		for i := 0; i < b.N; i++ {
-			r, err = harness.SimPointEstimateSharded(
-				SCCConfig(LevelFull), w, interval, k, harness.WarmupDetailed, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(r.WeightedIPC, "weighted-ipc")
-	})
 	b.Run("snapshot-restored", func(b *testing.B) {
 		o := opts
 		o.SnapshotDir = b.TempDir()

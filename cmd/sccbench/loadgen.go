@@ -28,6 +28,7 @@ import (
 	"sccsim/internal/pipeline"
 	"sccsim/internal/scc"
 	"sccsim/internal/serve"
+	"sccsim/internal/telemetry"
 	"sccsim/internal/workloads"
 )
 
@@ -237,8 +238,10 @@ func loadgenManifestBytes(st *serve.JobStatus) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// loadgenFetchMetrics scrapes the server's /metrics.prom exposition and
+// summarizes the job counters and latency percentiles in one line.
 func loadgenFetchMetrics(client *http.Client, base string) (string, error) {
-	resp, err := client.Get(base + "/metrics")
+	resp, err := client.Get(base + "/metrics.prom")
 	if err != nil {
 		return "", err
 	}
@@ -247,9 +250,13 @@ func loadgenFetchMetrics(client *http.Client, base string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, raw); err != nil {
+	exp, err := telemetry.ParseExposition(raw)
+	if err != nil {
 		return "", err
 	}
-	return compact.String(), nil
+	m := exp.Samples
+	return fmt.Sprintf("completed %v, failed %v, rejected %v, cache hits %v, misses %v, p50 %.1fms, p99 %.1fms",
+		m["sccserve_jobs_completed_total"], m["sccserve_jobs_failed_total"], m["sccserve_jobs_rejected_total"],
+		m["sccserve_cache_hits_total"], m["sccserve_cache_misses_total"],
+		m["sccserve_job_latency_p50_milliseconds"], m["sccserve_job_latency_p99_milliseconds"]), nil
 }

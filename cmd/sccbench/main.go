@@ -45,7 +45,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		experiment = flag.String("experiment", "all",
-			"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint-sharded | simpoint-snapshot | loadgen | all, or a comma-separated list (all excludes simpoint-sharded, simpoint-snapshot and loadgen)")
+			"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint-snapshot | loadgen | all, or a comma-separated list (all excludes simpoint-snapshot and loadgen)")
 		maxUops  = flag.Uint64("max-uops", 0, "interval length override in micro-ops (0 = workload defaults)")
 		subset   = flag.String("workloads", "", "comma-separated workload subset (default: all 19)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
@@ -59,7 +59,7 @@ func run() int {
 			"concurrent in-flight loadgen requests")
 
 		snapshotDir = flag.String("snapshot-dir", "",
-			"warmup snapshot store directory for simpoint-snapshot: detailed warmup state persists here keyed by (workload, warmup hash, boundary) and later sweeps restore instead of re-warming")
+			"warmup snapshot store directory for simpoint-snapshot: detailed warmup state persists here keyed by (workload, warmup hash, interval length, boundary) and later sweeps restore instead of re-warming")
 		snapshotMaxBytes = flag.Int64("snapshot-max-bytes", 0,
 			"snapshot store size cap in bytes; least-recently-used slots are evicted past it (0 = unbounded)")
 
@@ -250,20 +250,8 @@ func run() int {
 			return f.Timing, nil
 		},
 		"overhead": func() (*sccsim.SweepSummary, error) { sccsim.Overheads(os.Stdout); return nil, nil },
-		"simpoint-sharded": func() (*sccsim.SweepSummary, error) {
-			o := opts
-			o.ShardSimPoints = true
-			f, err := sccsim.SimPointSweep(o)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return nil, nil
-		},
 		"simpoint-snapshot": func() (*sccsim.SweepSummary, error) {
-			o := opts
-			o.SnapshotSimPoints = true
-			f, err := sccsim.SimPointSweep(o)
+			f, err := sccsim.SimPointSweep(opts)
 			if err != nil {
 				return nil, err
 			}
@@ -370,11 +358,11 @@ func (a *artifacts) finish(name string, sum *sccsim.SweepSummary) error {
 				Workers:    sum.Workers,
 			}
 		}
-		// Content-addressed name: identical (workload, config) runs from
-		// different experiments produce identical stats, so overwriting
-		// is idempotent by construction.
-		file := fmt.Sprintf("%s-%s.json", r.Workload, man.ConfigHash[:12])
-		if err := man.WriteFile(filepath.Join(a.jsonDir, file)); err != nil {
+		// Content-addressed name (the result cache's): identical
+		// (workload, config) runs from different experiments produce
+		// identical stats, so overwriting is idempotent by construction.
+		file, err := harness.WriteManifest(a.jsonDir, man)
+		if err != nil {
 			return err
 		}
 		a.index.Add(file, name, man)

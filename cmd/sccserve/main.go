@@ -14,7 +14,8 @@
 //	GET  /v1/jobs/{id}/manifest    raw manifest bytes
 //	GET  /v1/jobs/{id}/events      SSE progress + interval samples
 //	GET  /v1/cache/{config_hash}   direct cache probe
-//	GET  /healthz, /metrics        liveness + JSON counters
+//	GET  /healthz                  liveness
+//	GET  /metrics.prom             Prometheus counters, gauges, histograms
 //
 // SIGINT/SIGTERM drain gracefully: new submissions get 503 while
 // in-flight and queued jobs finish, bounded by -drain-timeout.

@@ -106,32 +106,11 @@ func smoke(workers, queue int) error {
 		return fmt.Errorf("v1/compare: %w", err)
 	}
 
-	// Metrics must reflect what just happened.
-	raw, err := fetch(client, base+"/metrics")
-	if err != nil {
-		return err
-	}
-	var met serve.Metrics
-	if err := json.Unmarshal(raw, &met); err != nil {
-		return fmt.Errorf("metrics decode: %w", err)
-	}
-	if met.Completed < 2 || met.CacheHits < 1 || met.CacheMisses < 1 {
-		return fmt.Errorf("metrics completed=%d hits=%d misses=%d, want >=2/>=1/>=1",
-			met.Completed, met.CacheHits, met.CacheMisses)
-	}
-	if met.LatencyP99MS == nil {
-		return fmt.Errorf("latency_p99_ms absent after %d completed jobs", met.Completed)
-	}
-	if met.UptimeSeconds <= 0 {
-		return fmt.Errorf("uptime_seconds = %v, want > 0", met.UptimeSeconds)
-	}
-	fmt.Printf("smoke: metrics ok (completed %d, cache %d/%d, p99 %.1fms)\n",
-		met.Completed, met.CacheHits, met.CacheHits+met.CacheMisses, *met.LatencyP99MS)
-
-	// Prometheus exposition: the document must parse under the scraper's
-	// structural rules (sample syntax, TYPE coverage, no duplicates),
-	// cover every counter the JSON document reports, and its counters
-	// must be monotonic across two scrapes with traffic in between.
+	// Prometheus exposition: the counters must reflect what just
+	// happened, the document must parse under the scraper's structural
+	// rules (sample syntax, TYPE coverage, no duplicates) and cover every
+	// required series, and its counters must be monotonic across two
+	// scrapes with traffic in between.
 	if err := smokeProm(client, base, body); err != nil {
 		return fmt.Errorf("metrics.prom: %w", err)
 	}
@@ -167,8 +146,9 @@ func smoke(workers, queue int) error {
 	return nil
 }
 
-// smokeProm validates the Prometheus endpoint: format, coverage of the
-// JSON counters, and counter monotonicity across two scrapes.
+// smokeProm validates the Prometheus endpoint: the job counters after
+// the cold run and cache hit, format, series coverage, and counter
+// monotonicity across two scrapes.
 func smokeProm(client *http.Client, base, jobBody string) error {
 	scrape := func() (*telemetry.Exposition, error) {
 		resp, err := client.Get(base + "/metrics.prom")
@@ -192,8 +172,22 @@ func smokeProm(client *http.Client, base, jobBody string) error {
 	if err != nil {
 		return err
 	}
-	// Every counter of the /metrics JSON document must have a Prometheus
-	// series, plus the satellite gauges.
+	// The cold run, its cache hit and the compare baseline have completed.
+	met := first.Samples
+	completed, hits, misses := met["sccserve_jobs_completed_total"], met["sccserve_cache_hits_total"], met["sccserve_cache_misses_total"]
+	if completed < 2 || hits < 1 || misses < 1 {
+		return fmt.Errorf("completed=%v hits=%v misses=%v, want >=2/>=1/>=1", completed, hits, misses)
+	}
+	p99, ok := met["sccserve_job_latency_p99_milliseconds"]
+	if !ok {
+		return fmt.Errorf("sccserve_job_latency_p99_milliseconds absent after %v completed jobs", completed)
+	}
+	if up := met["sccserve_uptime_seconds"]; up <= 0 {
+		return fmt.Errorf("sccserve_uptime_seconds = %v, want > 0", up)
+	}
+	fmt.Printf("smoke: metrics ok (completed %v, cache %v/%v, p99 %.1fms)\n", completed, hits, hits+misses, p99)
+
+	// Every job counter and pool gauge must have a series.
 	required := []string{
 		"sccserve_jobs_submitted_total", "sccserve_jobs_completed_total",
 		"sccserve_jobs_failed_total", "sccserve_jobs_canceled_total",

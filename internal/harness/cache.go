@@ -1,62 +1,80 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
-	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"sccsim/internal/obs"
 	"sccsim/internal/pipeline"
 	"sccsim/internal/power"
+	"sccsim/internal/snap"
 	"sccsim/internal/workloads"
 )
 
-// Result cache (ROADMAP item): manifests double as cache entries. A run
-// is keyed by obs.ConfigHash over (SimVersion, Workload, effective
-// Config), so a simulator-version bump invalidates every entry without
-// any eviction logic. Files use the same <workload>-<hash12>.json naming
-// sccbench -json writes, which makes any manifest directory a warm cache.
+// Result cache (ROADMAP item): manifests double as cache entries, held
+// as slots of a snap.Store in the cache directory (atomic writes,
+// undecodable slots deleted on load). A run is keyed by obs.ConfigHash
+// over (SimVersion, Workload, effective Config), so a simulator-version
+// bump invalidates every entry without any eviction logic. Slots use the
+// CacheName naming sccbench -json writes, which makes any manifest
+// directory a warm cache.
 
-// cachePath returns the manifest path a (workload, config) run caches
-// under, or "" when the workload name cannot be a safe file stem.
-func cachePath(dir string, workload, hash string) string {
-	if strings.ContainsAny(workload, "/\\") {
-		return ""
+// CacheName is the file name a (workload, config hash) manifest is
+// stored under: <workload>-<hash12>.json. With an empty workload it is
+// the "-<hash12>.json" suffix every name for that hash ends in.
+func CacheName(workload, hash string) string {
+	return workload + "-" + hash[:12] + ".json"
+}
+
+// WriteManifest stores man in dir under CacheName through the slot
+// store's atomic write and returns the file name. The result cache and
+// sccbench -json both write through it.
+func WriteManifest(dir string, man *obs.Manifest) (string, error) {
+	var buf bytes.Buffer
+	if err := man.Encode(&buf); err != nil {
+		return "", err
 	}
-	return filepath.Join(dir, fmt.Sprintf("%s-%s.json", workload, hash[:12]))
+	name := CacheName(man.Workload, man.ConfigHash)
+	return name, snap.NewStore(dir, 0).Write(name, buf.Bytes())
+}
+
+// errNoStats rejects a slot that decodes but carries no run counters.
+var errNoStats = errors.New("harness: cached manifest has no stats")
+
+// readManifest decodes slot name of the cache directory, or returns nil
+// on a miss. A slot that does not decode, or decodes without stats, is
+// deleted by the store — one torn write cannot poison every later lookup
+// of its (workload, config); the next completed run rewrites the slot.
+func readManifest(dir, name string) *obs.Manifest {
+	var man *obs.Manifest
+	snap.NewStore(dir, 0).Read(name, func(data []byte) error {
+		var m obs.Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			return err
+		}
+		if m.Stats == nil {
+			return errNoStats
+		}
+		man = &m
+		return nil
+	})
+	return man
 }
 
 // loadCached probes the cache directory for a finished run of the
-// effective configuration. It returns nil on any miss: absent file,
-// hash/version/schema mismatch (stale entry), or a manifest without the
-// interval series the caller asked for. An entry that exists but does
-// not decode (torn write, disk corruption) is deleted as well as
-// missed, so one bad file cannot poison every later lookup of its
-// (workload, config) — the next completed run rewrites the slot.
-// Energy is recomputed from the cached counters because EnergyParams
-// are a post-processing knob that is deliberately not part of the
-// config hash.
+// effective configuration. It returns nil on any miss: absent or
+// undecodable slot, hash/version/schema mismatch (a stale entry, missed
+// but kept), or a manifest without the interval series the caller asked
+// for. Energy is recomputed from the cached counters because
+// EnergyParams are a post-processing knob that is deliberately not part
+// of the config hash.
 func loadCached(opts Options, w workloads.Workload, cfg pipeline.Config) *RunResult {
 	hash := obs.ConfigHash(w.Name, cfg)
-	path := cachePath(opts.CacheDir, w.Name, hash)
-	if path == "" {
-		return nil
-	}
-	man, err := obs.ReadManifest(path)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			os.Remove(path)
-		}
-		return nil
-	}
-	if man.Stats == nil {
-		os.Remove(path)
-		return nil
-	}
-	if man.ConfigHash != hash || man.SimVersion != obs.Version || man.Schema != obs.SchemaVersion {
+	man := readManifest(opts.CacheDir, CacheName(w.Name, hash))
+	if man == nil || man.ConfigHash != hash || man.SimVersion != obs.Version || man.Schema != obs.SchemaVersion {
 		return nil
 	}
 	if opts.SampleEvery > 0 && len(man.Samples) == 0 {
@@ -74,42 +92,11 @@ func loadCached(opts Options, w workloads.Workload, cfg pipeline.Config) *RunRes
 	}
 }
 
-// storeCached writes the finished run back into the cache directory,
-// atomically (temp file + fsync + rename) so a concurrent sweep worker
-// never observes a torn manifest and a crash right after the rename
-// cannot leave a durable-looking entry with unflushed content behind.
+// storeCached writes the finished run back into the cache directory.
 // Failures are swallowed: the cache is an accelerator, never a
 // correctness dependency.
 func storeCached(dir string, r *RunResult) {
-	path := cachePath(dir, r.Workload, obs.ConfigHash(r.Workload, r.Config))
-	if path == "" {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, ".cache-*.json")
-	if err != nil {
-		return
-	}
-	man := r.Manifest()
-	if err := man.Encode(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
+	WriteManifest(dir, r.Manifest())
 }
 
 // Probe exposes the cache read path to other layers — the serving tier
@@ -130,14 +117,13 @@ func Probe(dir string, w workloads.Workload, cfg pipeline.Config, opts Options) 
 // starts with hash (at least 12 hex characters — the filename stem
 // length — up to the full 64). It is the direct cache-probe primitive
 // behind sccserve's GET /v1/cache/{hash}: the workload name is not
-// known, so the <workload>-<hash12>.json naming convention is matched
-// by suffix and the decoded manifest's full hash is verified. Returns
-// nil when no entry matches.
+// known, so names are matched by their CacheName suffix and the decoded
+// manifest's full hash is verified. Returns nil when no entry matches.
 func LookupHash(dir, hash string) *obs.Manifest {
 	if len(hash) < 12 || dir == "" {
 		return nil
 	}
-	suffix := "-" + hash[:12] + ".json"
+	suffix := CacheName("", hash)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
@@ -146,11 +132,7 @@ func LookupHash(dir, hash string) *obs.Manifest {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), suffix) {
 			continue
 		}
-		man, err := obs.ReadManifest(filepath.Join(dir, e.Name()))
-		if err != nil || man.Stats == nil {
-			continue
-		}
-		if strings.HasPrefix(man.ConfigHash, hash) {
+		if man := readManifest(dir, e.Name()); man != nil && strings.HasPrefix(man.ConfigHash, hash) {
 			return man
 		}
 	}

@@ -93,7 +93,7 @@ func TestResultCacheRejectsStaleVersion(t *testing.T) {
 	// Tamper: rewrite the entry claiming an older simulator version. The
 	// hash check must reject it (hash folds the version in), forcing a
 	// fresh simulation rather than serving stale numbers.
-	path := cachePath(dir, cold.Workload, obs.ConfigHash(cold.Workload, cold.Config))
+	path := filepath.Join(dir, CacheName(cold.Workload, obs.ConfigHash(cold.Workload, cold.Config)))
 	man, err := obs.ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestResultCacheDeletesCorruptEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := cachePath(dir, cold.Workload, obs.ConfigHash(cold.Workload, cold.Config))
+	path := filepath.Join(dir, CacheName(cold.Workload, obs.ConfigHash(cold.Workload, cold.Config)))
 
 	// Corrupt the entry, then probe without running: the probe must
 	// miss AND delete the file, so one torn write cannot poison every

@@ -1,14 +1,12 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 
 	"sccsim/internal/emu"
 	"sccsim/internal/pipeline"
-	"sccsim/internal/runner"
 	"sccsim/internal/scc"
 	"sccsim/internal/simpoint"
 	"sccsim/internal/workloads"
@@ -52,20 +50,30 @@ func ProfileBBV(w workloads.Workload, intervalUops uint64, budget uint64) []simp
 	return prof.Intervals()
 }
 
-// SimPointEstimate profiles the workload, selects up to k simpoints, runs
-// the pipeline across interval boundaries (the machine is resumable, so
-// each interval is measured in one pass with full warmup), and returns the
-// weighted whole-program estimate next to the true full-run measurement.
-func SimPointEstimate(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, k int, opts Options) (*SimPointResult, error) {
-	budget := opts.maxUops(w)
-	intervals := ProfileBBV(w, intervalUops, budget)
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("harness: %s produced no intervals", w.Name)
-	}
-	points := simpoint.Select(intervals, k)
+// reading is a cumulative (cycles, committed uops) pair taken when a run
+// stops at an interval boundary.
+type reading struct{ cycles, uops uint64 }
 
-	// One pipeline pass, sampling cumulative (cycles, uops) at every
-	// interval boundary.
+// shardSample is one representative's readings at its interval's lower
+// and upper boundaries.
+type shardSample struct{ lo, hi reading }
+
+// selectSimPoints is the estimators' shared prologue: profile the
+// workload into intervals of intervalUops and choose up to k
+// representatives. It returns the interval count and the points.
+func selectSimPoints(w workloads.Workload, intervalUops uint64, k int, opts Options) (int, []simpoint.SimPoint, error) {
+	intervals := ProfileBBV(w, intervalUops, opts.maxUops(w))
+	if len(intervals) == 0 {
+		return 0, nil, fmt.Errorf("harness: %s produced no intervals", w.Name)
+	}
+	return len(intervals), simpoint.Select(intervals, k), nil
+}
+
+// detailedWalk simulates w on a fresh machine through boundary n,
+// stopping at every interval boundary, and returns the cumulative
+// readings at boundaries 0..n. Each stop's pipeline-drain bubble is part
+// of the measurement, so every estimator stops at the same boundaries.
+func detailedWalk(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, n int) ([]reading, error) {
 	m, err := pipeline.New(cfg, w.Program())
 	if err != nil {
 		return nil, err
@@ -73,24 +81,27 @@ func SimPointEstimate(cfg pipeline.Config, w workloads.Workload, intervalUops ui
 	if w.MemInit != nil {
 		w.MemInit(m.Oracle.Mem)
 	}
-	type sample struct{ cycles, uops uint64 }
-	samples := make([]sample, len(intervals)+1)
-	for i := 1; i <= len(intervals); i++ {
+	rs := make([]reading, n+1)
+	for i := 1; i <= n; i++ {
 		m.Cfg.MaxUops = uint64(i) * intervalUops
 		st, err := m.Run()
 		if err != nil {
 			return nil, err
 		}
-		samples[i] = sample{cycles: st.Cycles, uops: st.CommittedUops}
+		rs[i] = reading{cycles: st.Cycles, uops: st.CommittedUops}
 	}
-	full := samples[len(intervals)]
+	return rs, nil
+}
 
+// weightedEstimate is the estimators' shared merge: per-representative
+// interval deltas (shards aligned with points), their weighted IPC, and
+// the full run's IPC from its final reading.
+func weightedEstimate(points []simpoint.SimPoint, shards []shardSample, full reading) *SimPointResult {
 	res := &SimPointResult{Points: points}
 	var weighted float64
-	for _, p := range points {
-		lo, hi := samples[p.Interval], samples[p.Interval+1]
-		cyc := hi.cycles - lo.cycles
-		uops := hi.uops - lo.uops
+	for i, p := range points {
+		cyc := shards[i].hi.cycles - shards[i].lo.cycles
+		uops := shards[i].hi.uops - shards[i].lo.uops
 		res.IntervalCycles = append(res.IntervalCycles, cyc)
 		res.IntervalUops = append(res.IntervalUops, uops)
 		if cyc > 0 {
@@ -101,158 +112,28 @@ func SimPointEstimate(cfg pipeline.Config, w workloads.Workload, intervalUops ui
 	if full.cycles > 0 {
 		res.FullIPC = float64(full.uops) / float64(full.cycles)
 	}
-	return res, nil
+	return res
 }
 
-// WarmupMode selects how a sharded SimPoint measurement warms the
-// microarchitectural state before its representative interval.
-type WarmupMode int
-
-const (
-	// WarmupDetailed replays the full detailed prefix, stopping at every
-	// interval boundary exactly as the serial estimator does (each stop's
-	// pipeline-drain bubble is part of the measurement, so stopping
-	// everywhere is what makes the shard bit-exact). Per-interval and
-	// weighted results equal SimPointEstimate's; wall clock parallelizes
-	// across shards but the full-extent shard still costs a whole serial
-	// pass — this mode exists for validation, not throughput.
-	WarmupDetailed WarmupMode = iota
-	// WarmupFunctional fast-forwards the functional oracle to the interval
-	// start (Machine.FastForward) and measures only the representative
-	// interval in detail. Each shard costs roughly one interval, so k
-	// shards across W workers approach min(k, W)-fold wall speedup — at
-	// the price of cold caches and predictors at each interval start
-	// (cold-start bias; the estimate is not bit-equal to the serial one).
-	WarmupFunctional
-)
-
-// String names the mode for tables and logs.
-func (m WarmupMode) String() string {
-	if m == WarmupFunctional {
-		return "functional"
-	}
-	return "detailed"
-}
-
-// shardSample is one shard's cumulative (cycles, uops) readings at its
-// interval's lower and upper boundaries.
-type shardSample struct {
-	loCycles, loUops uint64
-	hiCycles, hiUops uint64
-}
-
-// runShard measures one representative interval ending at boundary hi
-// (1-based) on a fresh machine.
-func runShard(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, hi int, mode WarmupMode) (*shardSample, error) {
-	m, err := pipeline.New(cfg, w.Program())
+// SimPointEstimate profiles the workload, selects up to k simpoints, runs
+// the pipeline across interval boundaries (the machine is resumable, so
+// each interval is measured in one pass with full warmup), and returns the
+// weighted whole-program estimate next to the true full-run measurement.
+// It is the serial reference SimPointEstimateSnapshot is pinned against.
+func SimPointEstimate(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, k int, opts Options) (*SimPointResult, error) {
+	n, points, err := selectSimPoints(w, intervalUops, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	if w.MemInit != nil {
-		w.MemInit(m.Oracle.Mem)
-	}
-	s := &shardSample{}
-	switch mode {
-	case WarmupDetailed:
-		for i := 1; i <= hi; i++ {
-			m.Cfg.MaxUops = uint64(i) * intervalUops
-			st, err := m.Run()
-			if err != nil {
-				return nil, err
-			}
-			if i == hi-1 {
-				s.loCycles, s.loUops = st.Cycles, st.CommittedUops
-			}
-			if i == hi {
-				s.hiCycles, s.hiUops = st.Cycles, st.CommittedUops
-			}
-		}
-	case WarmupFunctional:
-		if _, err := m.FastForward(uint64(hi-1) * intervalUops); err != nil {
-			return nil, err
-		}
-		m.Cfg.MaxUops = uint64(hi) * intervalUops
-		st, err := m.Run()
-		if err != nil {
-			return nil, err
-		}
-		// The machine starts cold at the interval, so the interval deltas
-		// are the final stats themselves (lo stays zero).
-		s.hiCycles, s.hiUops = st.Cycles, st.CommittedUops
-	}
-	return s, nil
-}
-
-// SimPointEstimateSharded is SimPointEstimate with each representative
-// interval measured as its own scheduler job on a fresh machine, fanned
-// out across Options.Parallel workers. Shards are submitted longest-first
-// (makespan) and remapped to canonical point order before the weighted
-// merge, so the result is byte-identical for any worker count. In
-// WarmupDetailed mode the estimate (and FullIPC, via an extra full-extent
-// shard) is bit-equal to SimPointEstimate's; in WarmupFunctional mode each
-// shard skips its prefix via functional fast-forward and FullIPC is left
-// zero (no shard runs the whole program in detail).
-func SimPointEstimateSharded(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, k int, mode WarmupMode, opts Options) (*SimPointResult, error) {
-	budget := opts.maxUops(w)
-	intervals := ProfileBBV(w, intervalUops, budget)
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("harness: %s produced no intervals", w.Name)
-	}
-	points := simpoint.Select(intervals, k)
-
-	// One shard per representative; detailed mode adds a full-extent shard
-	// whose final sample provides FullIPC.
-	his := make([]int, 0, len(points)+1)
-	for _, p := range points {
-		his = append(his, p.Interval+1)
-	}
-	if mode == WarmupDetailed {
-		his = append(his, len(intervals))
-	}
-	order := make([]int, len(his))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return his[order[a]] > his[order[b]] })
-
-	jobs := make([]runner.Job[*shardSample], len(order))
-	for ji, si := range order {
-		hi := his[si]
-		jobs[ji] = runner.Job[*shardSample]{
-			Name: fmt.Sprintf("%s@%d", w.Name, hi),
-			Run: func(context.Context) (*shardSample, error) {
-				return runShard(cfg, w, intervalUops, hi, mode)
-			},
-		}
-	}
-	results, _, err := runner.Run(context.Background(), opts.runnerConfig(), jobs)
+	rs, err := detailedWalk(cfg, w, intervalUops, n)
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]*shardSample, len(his))
-	for ji, si := range order {
-		samples[si] = results[ji]
-	}
-
-	res := &SimPointResult{Points: points}
-	var weighted float64
+	shards := make([]shardSample, len(points))
 	for i, p := range points {
-		s := samples[i]
-		cyc := s.hiCycles - s.loCycles
-		uops := s.hiUops - s.loUops
-		res.IntervalCycles = append(res.IntervalCycles, cyc)
-		res.IntervalUops = append(res.IntervalUops, uops)
-		if cyc > 0 {
-			weighted += p.Weight * (float64(uops) / float64(cyc))
-		}
+		shards[i] = shardSample{lo: rs[p.Interval], hi: rs[p.Interval+1]}
 	}
-	res.WeightedIPC = weighted
-	if mode == WarmupDetailed {
-		if f := samples[len(points)]; f.hiCycles > 0 {
-			res.FullIPC = float64(f.hiUops) / float64(f.hiCycles)
-		}
-	}
-	return res, nil
+	return weightedEstimate(points, shards, rs[n]), nil
 }
 
 // SimPoint sweep defaults: each workload's budget is cut into this many
@@ -264,46 +145,29 @@ const (
 
 // SimPointSweep is the SimPoint-estimation table: per-workload weighted
 // whole-program IPC estimates under the full-SCC configuration, next to
-// the true full-run IPC where a mode measures it.
+// the true full-run IPC.
 type SimPointSweep struct {
 	Names       []string
 	WeightedIPC []float64
-	// FullIPC is the measured whole-run IPC; zero in sharded (functional)
-	// mode, where no shard runs the whole program in detail.
-	FullIPC []float64
-	Points  []int // representatives measured per workload
-	Sharded bool
-	// Snapshot marks the snapshot-restored detailed-warmup mode
-	// (SimPointEstimateSnapshot): sharded fan-out, serial-exact results.
-	Snapshot bool
+	FullIPC     []float64
+	Points      []int // representatives measured per workload
 }
 
 // SimPointSweepRun estimates every workload's whole-program IPC from
-// SimPoint representatives. With Options.ShardSimPoints each
-// representative becomes its own scheduler job with functional
-// fast-forward warmup (parallel across Options.Parallel workers);
-// otherwise each workload is one serial resumable pass.
+// SimPoint representatives with SimPointEstimateSnapshot: each
+// workload's detailed warmup runs once, and every representative is
+// restored from its warmup snapshot as its own scheduler job (parallel
+// across Options.Parallel workers, persisted in Options.SnapshotDir when
+// set). Estimates are bit-equal to the serial detailed pass.
 func SimPointSweepRun(opts Options) (*SimPointSweep, error) {
-	ws := opts.workloads()
-	f := &SimPointSweep{Sharded: opts.ShardSimPoints || opts.SnapshotSimPoints, Snapshot: opts.SnapshotSimPoints}
+	f := &SimPointSweep{}
 	cfg := pipeline.IcelakeSCC(scc.LevelFull)
-	for _, w := range ws {
+	for _, w := range opts.workloads() {
 		interval := opts.maxUops(w) / simPointIntervalsPerRun
 		if interval == 0 {
 			interval = opts.maxUops(w)
 		}
-		var (
-			r   *SimPointResult
-			err error
-		)
-		switch {
-		case opts.SnapshotSimPoints:
-			r, err = SimPointEstimateSnapshot(cfg, w, interval, simPointK, opts)
-		case opts.ShardSimPoints:
-			r, err = SimPointEstimateSharded(cfg, w, interval, simPointK, WarmupFunctional, opts)
-		default:
-			r, err = SimPointEstimate(cfg, w, interval, simPointK, opts)
-		}
+		r, err := SimPointEstimateSnapshot(cfg, w, interval, simPointK, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -317,29 +181,13 @@ func SimPointSweepRun(opts Options) (*SimPointSweep, error) {
 
 // Write prints the estimation table.
 func (f *SimPointSweep) Write(w io.Writer) {
-	mode := "serial resumable pass"
-	switch {
-	case f.Snapshot:
-		mode = "sharded, snapshot-restored detailed warmup"
-	case f.Sharded:
-		mode = "sharded, functional fast-forward warmup"
-	}
-	section(w, fmt.Sprintf("SimPoint whole-program IPC estimates (%s)", mode))
+	section(w, "SimPoint whole-program IPC estimates (sharded, snapshot-restored detailed warmup)")
 	t := newTable("benchmark", "points", "weighted ipc", "full ipc")
 	for i, name := range f.Names {
-		full := "-"
-		if f.FullIPC[i] > 0 {
-			full = fmt.Sprintf("%.3f", f.FullIPC[i])
-		}
-		t.row(name, fmt.Sprintf("%d", f.Points[i]), fmt.Sprintf("%.3f", f.WeightedIPC[i]), full)
+		t.row(name, fmt.Sprintf("%d", f.Points[i]), fmt.Sprintf("%.3f", f.WeightedIPC[i]), fmt.Sprintf("%.3f", f.FullIPC[i]))
 	}
 	t.write(w)
-	switch {
-	case f.Snapshot:
-		fmt.Fprintln(w, "note: each interval restored from a warmup snapshot; estimates are bit-equal to the serial detailed pass")
-	case f.Sharded:
-		fmt.Fprintln(w, "note: functional warmup leaves caches and predictors cold at each interval start; estimates carry cold-start bias")
-	}
+	fmt.Fprintln(w, "note: each interval restored from a warmup snapshot; estimates are bit-equal to the serial detailed pass")
 }
 
 // blockHeads returns the static basic-block leader PCs of a program

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -69,6 +70,24 @@ func TestSnapshotStoreReusedAcrossIntervalLengths(t *testing.T) {
 	w, _ := workloads.ByName("mcf")
 	cfg := pipeline.IcelakeSCC(scc.LevelFull)
 	const k = 3
+
+	// The warmup hash ignores the work budget only: any other knob, or
+	// another workload, addresses different slots.
+	a, b := cfg, cfg
+	a.MaxUops, b.MaxUops = 1_000, 2_000
+	vp := cfg
+	vp.ValuePredictor = "lastvalue"
+	if WarmupHash("mcf", a) != WarmupHash("mcf", b) {
+		t.Fatal("budget-only variants have different warmup hashes")
+	}
+	if h := WarmupHash("mcf", a); h == WarmupHash("mcf", pipeline.Icelake()) || h == WarmupHash("mcf", vp) ||
+		WarmupHash("mcf", pipeline.Icelake()) == WarmupHash("mcf", vp) {
+		t.Fatal("distinct warmup configs share a hash")
+	}
+	if WarmupHash("lbm", a) == WarmupHash("mcf", a) {
+		t.Fatal("WarmupHash must key on the workload too")
+	}
+
 	dir := t.TempDir()
 	for _, interval := range []uint64{10_000, 15_000} {
 		opts := Options{MaxUops: 60_000, Parallel: 2, SnapshotDir: dir}
@@ -131,28 +150,26 @@ func TestSnapshotStoreSelfHealingFallsBackToColdWarmup(t *testing.T) {
 	}
 }
 
-// TestGroupByWarmupHash pins the grouping contract: configs that differ
-// only in work budget share a warmup group; any other knob splits them.
-func TestGroupByWarmupHash(t *testing.T) {
-	full := pipeline.IcelakeSCC(scc.LevelFull)
-	a, b := full, full
-	a.MaxUops = 1_000
-	b.MaxUops = 2_000
-	base := pipeline.Icelake()
-	vp := full
-	vp.ValuePredictor = "lastvalue"
-
-	hashes, groups := GroupByWarmupHash("mcf", []pipeline.Config{a, b, base, vp})
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups (%v), want 3", len(groups), groups)
+// TestSnapshotShardFallsBackToColdWalk hands a shard a checkpoint that
+// cannot restore: the shard must fall back to a cold detailed walk and
+// measure exactly what the shard restored from a good checkpoint does.
+func TestSnapshotShardFallsBackToColdWalk(t *testing.T) {
+	w, _ := workloads.ByName("mcf")
+	cfg := pipeline.IcelakeSCC(scc.LevelFull)
+	const interval, hi = 10_000, 3
+	snaps, err := warmupSnapshots(context.Background(), cfg, w, interval, []int{hi - 1}, WarmupHash(w.Name, cfg), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(groups[0], []int{0, 1}) {
-		t.Fatalf("budget-only variants split: %v", groups[0])
+	restored, err := runSnapshotShard(cfg, w, interval, hi, snaps[hi-1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hashes[0] == hashes[1] || hashes[1] == hashes[2] || hashes[0] == hashes[2] {
-		t.Fatal("distinct warmup configs share a hash")
+	cold, err := runSnapshotShard(cfg, w, interval, hi, []byte("not a snapshot"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if WarmupHash("mcf", a) != hashes[0] || WarmupHash("lbm", a) == hashes[0] {
-		t.Fatal("WarmupHash must key on the workload too")
+	if cold != restored {
+		t.Fatalf("cold fallback shard = %+v, restored shard = %+v", cold, restored)
 	}
 }

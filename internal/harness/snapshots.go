@@ -1,15 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
-
-	"context"
 
 	"sccsim/internal/obs"
 	"sccsim/internal/pipeline"
 	"sccsim/internal/runner"
-	"sccsim/internal/simpoint"
 	"sccsim/internal/snap"
 	"sccsim/internal/telemetry"
 	"sccsim/internal/tracing"
@@ -43,26 +41,6 @@ var snapMet = struct {
 func WarmupHash(workload string, cfg pipeline.Config) string {
 	cfg.MaxUops = 0
 	return obs.ConfigHash(workload, cfg)
-}
-
-// GroupByWarmupHash buckets sweep configurations by WarmupHash: configs
-// in one group have byte-identical warmup behaviour and can fan out
-// from one shared snapshot set. Groups are returned in first-appearance
-// order, each listing the indices of its member configs.
-func GroupByWarmupHash(workload string, cfgs []pipeline.Config) (hashes []string, groups [][]int) {
-	at := make(map[string]int)
-	for i, cfg := range cfgs {
-		h := WarmupHash(workload, cfg)
-		gi, ok := at[h]
-		if !ok {
-			gi = len(groups)
-			at[h] = gi
-			hashes = append(hashes, h)
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	return hashes, groups
 }
 
 // warmupSnapshots produces the snapshot at every boundary in needed
@@ -167,49 +145,51 @@ func warmupSnapshots(ctx context.Context, cfg pipeline.Config, w workloads.Workl
 // runSnapshotShard measures the interval ending at boundary hi by
 // restoring the warmup snapshot at hi-1 and running exactly one
 // interval in detail. Any restore problem (nil snapshot, decode
-// failure) degrades to the cold detailed shard — slower, never wrong.
-func runSnapshotShard(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, hi int, data []byte) (*shardSample, error) {
+// failure) degrades to a cold detailed walk — slower, never wrong.
+func runSnapshotShard(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, hi int, data []byte) (shardSample, error) {
 	if hi > 1 && data != nil {
 		if m, err := pipeline.NewMachineFromSnapshot(cfg, w.Program(), data); err == nil {
-			s := &shardSample{loCycles: m.Stats.Cycles, loUops: m.Stats.CommittedUops}
+			lo := reading{cycles: m.Stats.Cycles, uops: m.Stats.CommittedUops}
 			m.Cfg.MaxUops = uint64(hi) * intervalUops
 			st, err := m.Run()
 			if err != nil {
-				return nil, err
+				return shardSample{}, err
 			}
-			s.hiCycles, s.hiUops = st.Cycles, st.CommittedUops
-			return s, nil
+			return shardSample{lo: lo, hi: reading{cycles: st.Cycles, uops: st.CommittedUops}}, nil
 		}
 	}
-	return runShard(cfg, w, intervalUops, hi, WarmupDetailed)
+	rs, err := detailedWalk(cfg, w, intervalUops, hi)
+	if err != nil {
+		return shardSample{}, err
+	}
+	return shardSample{lo: rs[hi-1], hi: rs[hi]}, nil
 }
 
 // SimPointEstimateSnapshot is the snapshot-amortized detailed-warmup
-// estimator: bit-equal to SimPointEstimate (and to
-// SimPointEstimateSharded in WarmupDetailed mode), but the detailed
-// warmup prefix is simulated once per (workload, warmup hash) instead
-// of once per shard. One serial walk snapshots the machine at each
+// estimator: bit-equal to SimPointEstimate, but the detailed warmup
+// prefix is simulated once per (workload, warmup hash) instead of once
+// per representative. One serial walk snapshots the machine at each
 // boundary a representative starts at; every shard then restores its
 // boundary's snapshot and simulates exactly one interval. Total
 // detailed work drops from O(sum of prefixes) to O(program + k
 // intervals), and the per-interval shards parallelize across
-// Options.Parallel workers. Snapshots persist in Options.SnapshotDir
-// (when set) keyed by WarmupHash, so later sweeps of budget-only config
-// variants skip warmup entirely.
+// Options.Parallel workers — submitted longest-first for makespan and
+// merged in canonical point order, so results are byte-identical at any
+// worker count. Snapshots persist in Options.SnapshotDir (when set)
+// keyed by WarmupHash, so later sweeps of budget-only config variants
+// skip warmup entirely.
 func SimPointEstimateSnapshot(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, k int, opts Options) (*SimPointResult, error) {
-	budget := opts.maxUops(w)
-	intervals := ProfileBBV(w, intervalUops, budget)
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("harness: %s produced no intervals", w.Name)
+	n, points, err := selectSimPoints(w, intervalUops, k, opts)
+	if err != nil {
+		return nil, err
 	}
-	points := simpoint.Select(intervals, k)
 
 	// One shard per representative plus the full-extent shard for FullIPC.
 	his := make([]int, 0, len(points)+1)
 	for _, p := range points {
 		his = append(his, p.Interval+1)
 	}
-	his = append(his, len(intervals))
+	his = append(his, n)
 
 	// Collect the distinct warmup boundaries (hi-1) the shards restore at.
 	neededSet := make(map[int]bool)
@@ -235,12 +215,12 @@ func SimPointEstimateSnapshot(cfg pipeline.Config, w workloads.Workload, interva
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return his[order[a]] > his[order[b]] })
-	jobs := make([]runner.Job[*shardSample], len(order))
+	jobs := make([]runner.Job[shardSample], len(order))
 	for ji, si := range order {
 		hi := his[si]
-		jobs[ji] = runner.Job[*shardSample]{
+		jobs[ji] = runner.Job[shardSample]{
 			Name: fmt.Sprintf("%s@%d", w.Name, hi),
-			Run: func(context.Context) (*shardSample, error) {
+			Run: func(context.Context) (shardSample, error) {
 				return runSnapshotShard(cfg, w, intervalUops, hi, snaps[hi-1])
 			},
 		}
@@ -249,26 +229,9 @@ func SimPointEstimateSnapshot(cfg pipeline.Config, w workloads.Workload, interva
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]*shardSample, len(his))
+	shards := make([]shardSample, len(his))
 	for ji, si := range order {
-		samples[si] = results[ji]
+		shards[si] = results[ji]
 	}
-
-	res := &SimPointResult{Points: points}
-	var weighted float64
-	for i, p := range points {
-		s := samples[i]
-		cyc := s.hiCycles - s.loCycles
-		uops := s.hiUops - s.loUops
-		res.IntervalCycles = append(res.IntervalCycles, cyc)
-		res.IntervalUops = append(res.IntervalUops, uops)
-		if cyc > 0 {
-			weighted += p.Weight * (float64(uops) / float64(cyc))
-		}
-	}
-	res.WeightedIPC = weighted
-	if f := samples[len(points)]; f.hiCycles > 0 {
-		res.FullIPC = float64(f.hiUops) / float64(f.hiCycles)
-	}
-	return res, nil
+	return weightedEstimate(points, shards, shards[len(points)].hi), nil
 }

@@ -6,6 +6,7 @@ package pipeline
 // accounting invariants.
 
 import (
+	"reflect"
 	"testing"
 
 	"sccsim/internal/emu"
@@ -131,5 +132,40 @@ func TestIntegrationExtensionsStayGolden(t *testing.T) {
 				t.Errorf("%s: %s bits = %d, golden %d", name, r, a, b)
 			}
 		}
+	}
+}
+
+// TestRepeatedRunsShareNoState guards the pooled hot-path structures
+// (stream buffer, IDQ/ROB rings, region and dry-run tables, issue rings):
+// two fresh machines over the same inputs must produce identical stats,
+// including when a different workload runs in between — any state leaking
+// out of a machine, or left stale inside a pool between streams, shows up
+// as a counter divergence here.
+func TestRepeatedRunsShareNoState(t *testing.T) {
+	run := func(name string) *Stats {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("unknown workload %q", name)
+		}
+		cfg := IcelakeSCC(scc.LevelFull)
+		cfg.MaxUops = 30_000
+		m, err := New(cfg, w.Program())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.MemInit != nil {
+			w.MemInit(m.Oracle.Mem)
+		}
+		st, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	first := run("freqmine")
+	run("mcf") // interleaved different workload
+	second := run("freqmine")
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("repeated runs diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }

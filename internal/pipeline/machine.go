@@ -264,31 +264,6 @@ func (m *Machine) Run() (*Stats, error) {
 	return &m.Stats, nil
 }
 
-// FastForward advances the functional oracle by about n micro-ops without
-// simulating them in the pipeline — SimPoint-style functional warmup for
-// sharded interval measurement. It rounds up to the next macro-op boundary
-// (so fetch resumes at a whole instruction) and repoints fetch at the
-// oracle's PC. Microarchitectural state — caches, predictors, micro-op
-// cache, SCC unit — is NOT warmed: measurements taken after a fast-forward
-// carry cold-start bias, which is the price of skipping the detailed
-// prefix. MaxUops still bounds the oracle's absolute UopCount, so callers
-// resume with m.Cfg.MaxUops set past the skipped prefix. Only legal on a
-// fresh machine; returns the number of micro-ops actually skipped.
-func (m *Machine) FastForward(n uint64) (uint64, error) {
-	if m.cycle != 0 || m.Stats.CommittedUops != 0 {
-		return 0, fmt.Errorf("%w: FastForward needs a fresh machine", ErrMachineStarted)
-	}
-	skipped := m.Oracle.Run(n)
-	for m.Oracle.Seq() != 0 && !m.Oracle.Halted() {
-		if _, ok := m.Oracle.StepUop(); !ok {
-			break
-		}
-		skipped++
-	}
-	m.nextPC = m.Oracle.PC()
-	return skipped, nil
-}
-
 func (m *Machine) streamEmpty() bool { return m.cur.idx >= len(m.cur.entries) }
 func (m *Machine) idqEmpty() bool    { return m.idq.empty() }
 

@@ -10,10 +10,6 @@ import (
 	"sccsim/internal/vpred"
 )
 
-// ErrMachineStarted is returned by operations that require a fresh
-// machine (FastForward) when the pipeline has already simulated cycles.
-var ErrMachineStarted = errors.New("pipeline: machine has already run")
-
 // ErrNotQuiescent is returned by Snapshot when the pipeline still holds
 // in-flight work. Snapshots are only taken at the quiescent points where
 // Run breaks — stream drained, IDQ empty, ROB retired — which is what
@@ -124,7 +120,7 @@ func NewMachineFromSnapshot(cfg Config, prog *asm.Program, data []byte) (*Machin
 		lockedPCs[i] = r.U64()
 	}
 
-	for n, i := int(r.U32()), 0; i < n; i++ {
+	for n, i := r.Len(-1), 0; i < n; i++ {
 		pc := r.U64()
 		m.regions.put(pc, regionState{reqAt: r.U64(), squashes: r.U64()})
 	}
@@ -133,7 +129,7 @@ func NewMachineFromSnapshot(cfg Config, prog *asm.Program, data []byte) (*Machin
 		m.be.regReady[i] = r.U64()
 	}
 	m.be.lastIssue = r.U64()
-	for n, i := int(r.U32()), 0; i < n; i++ {
+	for n, i := r.Len(-1), 0; i < n; i++ {
 		addr := r.U64()
 		m.be.storeReady.put(addr, r.U64())
 	}

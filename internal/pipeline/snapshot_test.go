@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -114,27 +113,5 @@ func TestSnapshotRestoreRejectsWrongConfig(t *testing.T) {
 	vp.ValuePredictor = "lastvalue"
 	if _, err := NewMachineFromSnapshot(vp, w.Program(), data); err == nil {
 		t.Fatal("restore into a different value predictor succeeded; want kind error")
-	}
-}
-
-// TestFastForwardOnStartedMachine pins the typed error: resuming
-// FastForward after detailed cycles ran must fail with
-// ErrMachineStarted so callers can branch on it.
-func TestFastForwardOnStartedMachine(t *testing.T) {
-	w, _ := workloads.ByName("mcf")
-	cfg := IcelakeSCC(scc.LevelFull)
-	cfg.MaxUops = 5_000
-	m, err := New(cfg, w.Program())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.MemInit != nil {
-		w.MemInit(m.Oracle.Mem)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.FastForward(1_000); !errors.Is(err, ErrMachineStarted) {
-		t.Fatalf("FastForward on a started machine: got %v, want ErrMachineStarted", err)
 	}
 }

@@ -138,16 +138,17 @@ func TestServiceManifestMatchesLocalRun(t *testing.T) {
 	}
 
 	// Metrics reflect one miss + one hit.
-	m := srv.snapshotMetrics()
-	if m.Completed != 2 || m.CacheHits != 1 || m.CacheMisses != 1 {
-		t.Errorf("metrics completed=%d hits=%d misses=%d, want 2/1/1",
-			m.Completed, m.CacheHits, m.CacheMisses)
+	m := &srv.met
+	if c, h, mi := m.completed.Value(), m.cacheHits.Value(), m.cacheMisses.Value(); c != 2 || h != 1 || mi != 1 {
+		t.Errorf("metrics completed=%d hits=%d misses=%d, want 2/1/1", c, h, mi)
 	}
-	if m.LatencyP50MS == nil || m.LatencyP99MS == nil {
+	p50, ok50 := m.latencyPercentile(50)
+	p99, ok99 := m.latencyPercentile(99)
+	if !ok50 || !ok99 {
 		t.Fatal("latency percentiles absent after completed jobs")
 	}
-	if *m.LatencyP99MS < *m.LatencyP50MS {
-		t.Errorf("latency percentiles inverted: p50 %.3f > p99 %.3f", *m.LatencyP50MS, *m.LatencyP99MS)
+	if p99 < p50 {
+		t.Errorf("latency percentiles inverted: p50 %.3f > p99 %.3f", p50, p99)
 	}
 }
 

@@ -57,7 +57,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/compare", s.handleCompare)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics.prom", s.handleMetricsProm)
 	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 }
@@ -359,10 +358,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshotMetrics())
 }
 
 // handleMetricsProm renders the Prometheus text exposition: the

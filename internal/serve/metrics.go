@@ -14,8 +14,7 @@ const latencyWindow = 1024
 
 // metrics is the service's instrument set, backed by a per-server
 // telemetry.Registry so tests can run many servers without name
-// collisions. The registry renders both the legacy /metrics JSON
-// document (via typed accessors) and the /metrics.prom Prometheus
+// collisions. The registry renders the /metrics.prom Prometheus
 // exposition. Latency percentiles come from a bounded ring of
 // end-to-end (submit → done) times; Retry-After estimates come from a
 // separate ring of run-phase times, so near-zero cache hits cannot skew

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -117,44 +116,39 @@ func TestObserveLatencyConcurrent(t *testing.T) {
 }
 
 // TestMetricsPercentilesSuppressedWhenEmpty pins satellite behaviour: a
-// server with no completed jobs omits latency percentiles from the JSON
-// document and from the Prometheus exposition instead of reporting a
-// misleading 0.
+// server with no completed jobs omits the latency percentile series
+// from the Prometheus exposition instead of reporting a misleading 0.
 func TestMetricsPercentilesSuppressedWhenEmpty(t *testing.T) {
 	s := newTestServer(t)
-	snap := s.snapshotMetrics()
-	if snap.LatencyP50MS != nil || snap.LatencyP99MS != nil {
-		t.Error("percentiles present with an empty sample window")
+	scrape := func() *telemetry.Exposition {
+		t.Helper()
+		var prom strings.Builder
+		if err := telemetry.WritePrometheus(&prom, s.met.reg); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := telemetry.ParseExposition([]byte(prom.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exp
 	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), "latency_p50_ms") {
-		t.Errorf("empty percentiles serialized: %s", raw)
-	}
-	var prom strings.Builder
-	if err := telemetry.WritePrometheus(&prom, s.met.reg); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(prom.String(), "latency_p50_milliseconds") {
-		t.Error("suppressed percentile gauge appears in the exposition")
+	exp := scrape()
+	for _, name := range []string{"sccserve_job_latency_p50_milliseconds", "sccserve_job_latency_p99_milliseconds"} {
+		if _, ok := exp.Samples[name]; ok {
+			t.Errorf("suppressed percentile gauge %s appears in the exposition", name)
+		}
 	}
 
 	// One sample flips both on.
 	s.met.observeLatency(5*time.Millisecond, "")
-	snap = s.snapshotMetrics()
-	if snap.LatencyP50MS == nil || *snap.LatencyP50MS != 5 {
-		t.Errorf("p50 after one 5ms sample = %v, want 5", snap.LatencyP50MS)
+	exp = scrape()
+	if v, ok := exp.Samples["sccserve_job_latency_p50_milliseconds"]; !ok || v != 5 {
+		t.Errorf("p50 after one 5ms sample = %v (present %v), want 5", v, ok)
 	}
-	prom.Reset()
-	if err := telemetry.WritePrometheus(&prom, s.met.reg); err != nil {
-		t.Fatal(err)
+	if _, ok := exp.Samples["sccserve_job_latency_p99_milliseconds"]; !ok {
+		t.Error("p99 gauge missing from the exposition after a sample")
 	}
-	if !strings.Contains(prom.String(), "sccserve_job_latency_p50_milliseconds 5") {
-		t.Errorf("percentile gauge missing from the exposition after a sample:\n%s", prom.String())
-	}
-	if snap.UptimeSeconds <= 0 {
-		t.Errorf("uptime_seconds = %v, want > 0", snap.UptimeSeconds)
+	if up := exp.Samples["sccserve_uptime_seconds"]; up <= 0 {
+		t.Errorf("sccserve_uptime_seconds = %v, want > 0", up)
 	}
 }

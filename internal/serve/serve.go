@@ -225,7 +225,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // checks) whose access-log lines are demoted to Debug.
 func quietPath(p string) bool {
 	switch p {
-	case "/healthz", "/metrics", "/metrics.prom", "/debug/flight":
+	case "/healthz", "/metrics.prom", "/debug/flight":
 		return true
 	}
 	return false
@@ -607,54 +607,6 @@ func (s *Server) retryAfter() int {
 		sec = 60
 	}
 	return sec
-}
-
-// snapshotMetrics assembles the /metrics payload.
-func (s *Server) snapshotMetrics() Metrics {
-	m := Metrics{
-		Workers:       s.cfg.Workers,
-		QueueDepth:    len(s.queue),
-		QueueCap:      s.cfg.QueueDepth,
-		InFlight:      int64(s.met.inFlight.Value()),
-		Submitted:     s.met.submitted.Value(),
-		Completed:     s.met.completed.Value(),
-		Failed:        s.met.failed.Value(),
-		Canceled:      s.met.canceled.Value(),
-		Rejected429:   s.met.rejected.Value(),
-		CacheHits:     s.met.cacheHits.Value(),
-		CacheMisses:   s.met.cacheMisses.Value(),
-		UptimeSeconds: time.Since(s.met.start).Seconds(),
-		Draining:      s.draining.Load(),
-	}
-	// Percentiles are omitted (null/absent) until the window has a first
-	// sample — 0ms would misread as "instant", not "no data".
-	if p50, ok := s.met.latencyPercentile(50); ok {
-		p99, _ := s.met.latencyPercentile(99)
-		m.LatencyP50MS = &p50
-		m.LatencyP99MS = &p99
-	}
-	return m
-}
-
-// Metrics is the /metrics JSON document. The latency percentiles are
-// pointers so an empty sample window serializes as absent rather than a
-// misleading 0; the Prometheus exposition suppresses the same series.
-type Metrics struct {
-	Workers       int      `json:"workers"`
-	QueueDepth    int      `json:"queue_depth"`
-	QueueCap      int      `json:"queue_cap"`
-	InFlight      int64    `json:"in_flight"`
-	Submitted     int64    `json:"submitted"`
-	Completed     int64    `json:"completed"`
-	Failed        int64    `json:"failed"`
-	Canceled      int64    `json:"canceled"`
-	Rejected429   int64    `json:"rejected_429"`
-	CacheHits     int64    `json:"cache_hits"`
-	CacheMisses   int64    `json:"cache_misses"`
-	UptimeSeconds float64  `json:"uptime_seconds"`
-	LatencyP50MS  *float64 `json:"latency_p50_ms,omitempty"`
-	LatencyP99MS  *float64 `json:"latency_p99_ms,omitempty"`
-	Draining      bool     `json:"draining"`
 }
 
 // marshal is a tiny helper for event payloads that cannot fail on the

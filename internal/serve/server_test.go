@@ -92,8 +92,8 @@ func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 	if err != nil || ra < 1 || ra > 60 {
 		t.Errorf("Retry-After = %q, want an integer in [1, 60]", resp.Header.Get("Retry-After"))
 	}
-	if m := srv.snapshotMetrics(); m.Rejected429 != 1 {
-		t.Errorf("rejected_429 = %d, want 1", m.Rejected429)
+	if n := srv.met.rejected.Value(); n != 1 {
+		t.Errorf("rejected = %d, want 1", n)
 	}
 	// The rejected submission must not leak a job record.
 	if code, _ := get(t, ts.URL+"/v1/jobs/"+j2.ID); code != http.StatusOK {
@@ -104,8 +104,8 @@ func TestQueueFullReturns429WithRetryAfter(t *testing.T) {
 	close(block)
 	waitState(t, ts, j1.ID, StateDone)
 	waitState(t, ts, j2.ID, StateDone)
-	if m := srv.snapshotMetrics(); m.Completed != 2 {
-		t.Errorf("completed = %d, want 2", m.Completed)
+	if n := srv.met.completed.Value(); n != 2 {
+		t.Errorf("completed = %d, want 2", n)
 	}
 }
 
@@ -168,8 +168,8 @@ func TestClientDisconnectCancelsJobAndFreesWorker(t *testing.T) {
 		t.Fatal("abandoned job record not found")
 	}
 	waitState(t, ts, abandonedID, StateCanceled)
-	if m := srv.snapshotMetrics(); m.Canceled != 1 {
-		t.Errorf("canceled = %d, want 1", m.Canceled)
+	if n := srv.met.canceled.Value(); n != 1 {
+		t.Errorf("canceled = %d, want 1", n)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package snap is the deterministic binary encoding layer behind
-// pipeline machine snapshots (ROADMAP #3): a versioned little-endian
-// byte format with an integrity digest, plus a content-addressed
-// on-disk store with the same atomic-write/self-healing contract as the
-// harness result cache.
+// pipeline machine snapshots: a versioned little-endian byte format with
+// an integrity digest, plus the content-addressed on-disk slot store
+// (atomic writes, self-healing loads) that holds both the warmup
+// snapshots and the harness result cache.
 //
 // The format is intentionally dumb: a fixed header (magic + format
 // version), a flat payload written by per-package encoders, and a
@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -136,6 +137,12 @@ func (w *Writer) Block(v any) {
 	w.buf = append(w.buf, b.Bytes()...)
 }
 
+// ErrMalformed is wrapped by every payload error a Reader reports on
+// its own — an underrun or a length prefix the payload cannot hold —
+// so callers can tell hostile or truncated bytes from decoder-level
+// mismatches (Errorf).
+var ErrMalformed = errors.New("snap: malformed snapshot payload")
+
 // Reader decodes a snapshot produced by Writer. Errors are sticky: the
 // first failure poisons the reader, later reads return zero values, and
 // Err reports the first failure — so decoders read straight through and
@@ -193,7 +200,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("snap: payload underrun (want %d bytes at offset %d of %d)", n, r.off, len(r.buf))
+		r.err = fmt.Errorf("%w: underrun (want %d bytes at offset %d of %d)", ErrMalformed, n, r.off, len(r.buf))
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -255,13 +262,23 @@ func (r *Reader) String() string {
 // Raw reads n verbatim bytes (the counterpart of Writer.Raw).
 func (r *Reader) Raw(n int) []byte { return r.take(n) }
 
-// Len reads a u32 length prefix and checks it against the decoder's
-// expected element count; a mismatch poisons the reader. Use -1 to
-// accept any length. Returns the length read.
+// Len reads a u32 length prefix. With want >= 0 it must equal the
+// decoder's expected element count. With want = -1 any length the rest
+// of the payload could hold is accepted: every element takes at least
+// one byte, so a crafted prefix cannot make the caller allocate more
+// than the input justifies. Either violation poisons the reader, and a
+// poisoned reader returns 0.
 func (r *Reader) Len(want int) int {
 	n := int(r.U32())
-	if want >= 0 && n != want && r.err == nil {
-		r.err = fmt.Errorf("snap: length %d, decoder expects %d", n, want)
+	switch {
+	case r.err != nil:
+		return 0
+	case want >= 0 && n != want:
+		r.err = fmt.Errorf("%w: length %d, decoder expects %d", ErrMalformed, n, want)
+		return 0
+	case want < 0 && n > len(r.buf)-r.off:
+		r.err = fmt.Errorf("%w: length %d exceeds the %d payload bytes left", ErrMalformed, n, len(r.buf)-r.off)
+		return 0
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -104,8 +105,35 @@ func TestReaderPoisonsOnUnderrunAndLengthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.U64() // empty payload
-	if r2.Err() == nil {
-		t.Fatal("underrun not reported")
+	if !errors.Is(r2.Err(), ErrMalformed) {
+		t.Fatalf("underrun: err = %v, want ErrMalformed", r2.Err())
+	}
+
+	// An open-ended length prefix larger than the payload left cannot be
+	// honoured: the reader poisons itself and reports 0, so the caller
+	// never sizes an allocation from it.
+	w3 := NewWriter()
+	w3.U32(1 << 24)
+	w3.U64(7)
+	r3, err := NewReader(w3.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r3.Len(-1); n != 0 {
+		t.Fatalf("oversized Len(-1) = %d, want 0", n)
+	}
+	if !errors.Is(r3.Err(), ErrMalformed) {
+		t.Fatalf("oversized Len(-1): err = %v, want ErrMalformed", r3.Err())
+	}
+	// A prefix the payload can hold is accepted.
+	w4 := NewWriter()
+	w4.U64s([]uint64{1, 2})
+	r4, err := NewReader(w4.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r4.Len(-1); n != 2 || r4.Err() != nil {
+		t.Fatalf("Len(-1) = %d (err %v), want 2", n, r4.Err())
 	}
 }
 

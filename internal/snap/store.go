@@ -12,17 +12,15 @@ import (
 	"time"
 )
 
-// Store is the content-addressed on-disk snapshot store that sits
-// beside the harness result cache. Slots are keyed by
-// (workload, warmup-hash, interval length, interval boundary) — the
-// caller builds the key with Key — and hold one Writer-framed snapshot
-// each. The store
-// follows the result cache's durability contract: writes are atomic
-// (temp file + fsync + rename), a slot that fails framing verification
-// on load is deleted so one torn write cannot poison later sweeps, and
-// every failure degrades to a miss — the store is an accelerator,
-// never a correctness dependency (the caller re-runs detailed warmup
-// on any miss).
+// Store is a content-addressed on-disk slot store: one file per slot in
+// one directory. It backs both the warmup snapshot store — slots keyed
+// by (workload, warmup-hash, interval length, interval boundary), built
+// with Key, accessed with Save/Load — and the harness result cache, whose
+// manifest slots go through Write/Read under their own file names.
+// Writes are atomic (temp file + fsync + rename), a slot that fails its
+// check on load is deleted so one torn write cannot poison later runs,
+// and every failure degrades to a miss — the store is an accelerator,
+// never a correctness dependency (callers recompute on any miss).
 type Store struct {
 	dir      string
 	maxBytes int64 // 0 = unbounded
@@ -32,13 +30,15 @@ type Store struct {
 	mu sync.Mutex
 }
 
-// ext is the slot filename extension; eviction only ever touches these.
+// ext is the snapshot slot filename extension; eviction only ever
+// touches these.
 const ext = ".snap"
 
-// NewStore opens (creating if needed) a snapshot store in dir, capped
-// at maxBytes of slot data (0 = unbounded). A nil store is returned
-// when dir is empty, and every method on a nil store is a safe no-op
-// miss — callers hold snapshots in memory for the current sweep only.
+// NewStore opens (creating if needed) a slot store in dir whose
+// snapshot slots are capped at maxBytes (0 = unbounded). A nil store is
+// returned when dir is empty, and every method on a nil store is a safe
+// no-op miss — callers hold snapshots in memory for the current sweep
+// only.
 func NewStore(dir string, maxBytes int64) *Store {
 	if dir == "" {
 		return nil
@@ -54,8 +54,7 @@ func NewStore(dir string, maxBytes int64) *Store {
 // b*intervalUops committed uops with a stop at every multiple of
 // intervalUops — runs sweeping different interval lengths (e.g.
 // budget-derived ones) must never share slots. Returns "" when the
-// workload name cannot be a safe file stem (mirrors the result cache's
-// guard).
+// workload name cannot be a safe file stem.
 func Key(workload, warmupHash string, intervalUops uint64, boundary int) string {
 	if strings.ContainsAny(workload, "/\\") || len(warmupHash) < 12 {
 		return ""
@@ -63,20 +62,50 @@ func Key(workload, warmupHash string, intervalUops uint64, boundary int) string 
 	return fmt.Sprintf("%s-%s-i%d-b%d", workload, warmupHash[:12], intervalUops, boundary)
 }
 
-func (s *Store) path(key string) string {
-	if s == nil || key == "" || strings.ContainsAny(key, "/\\") {
+// path maps a slot file name into the store directory, or "" when the
+// store is nil or the name could escape it.
+func (s *Store) path(name string) string {
+	if s == nil || name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\") {
 		return ""
 	}
-	return filepath.Join(s.dir, key+ext)
+	return filepath.Join(s.dir, name)
 }
 
 // Load returns the verified snapshot stored under key, or nil on any
-// miss. A slot that exists but fails framing verification (truncated
-// write, bit rot, format-version skew) is deleted — self-healing, so
-// the next warmup pass rewrites it. A hit refreshes the slot's mtime,
-// which is the LRU clock eviction orders by.
+// miss. A slot that fails framing verification (truncated write, bit
+// rot, format-version skew) is deleted — self-healing, so the next
+// warmup pass rewrites it.
 func (s *Store) Load(key string) []byte {
-	path := s.path(key)
+	return s.Read(slotName(key), Verify)
+}
+
+// Save stores a snapshot under key atomically and then enforces the
+// size cap, evicting least-recently-used snapshot slots. It reports
+// whether the slot was written and how many slots eviction removed;
+// failures are swallowed (written=false).
+func (s *Store) Save(key string, data []byte) (written bool, evicted int) {
+	name := slotName(key)
+	if s.Write(name, data) != nil {
+		return false, 0
+	}
+	return true, s.evict(s.path(name))
+}
+
+// slotName is the file name of snapshot key, or "" for the empty key
+// Key returns when it rejects its inputs.
+func slotName(key string) string {
+	if key == "" {
+		return ""
+	}
+	return key + ext
+}
+
+// Read returns the contents of slot name once check accepts them, or
+// nil on any miss. A slot that exists but that check rejects is deleted.
+// A hit refreshes the slot's mtime, which is the LRU clock eviction
+// orders by.
+func (s *Store) Read(name string, check func([]byte) error) []byte {
+	path := s.path(name)
 	if path == "" {
 		return nil
 	}
@@ -84,7 +113,7 @@ func (s *Store) Load(key string) []byte {
 	if err != nil {
 		return nil
 	}
-	if err := Verify(data); err != nil {
+	if err := check(data); err != nil {
 		os.Remove(path)
 		return nil
 	}
@@ -93,41 +122,39 @@ func (s *Store) Load(key string) []byte {
 	return data
 }
 
-// Save stores data under key atomically and then enforces the size
-// cap, evicting least-recently-used slots. It reports whether the slot
-// was written and how many slots eviction removed; failures are
-// swallowed (written=false) like the result cache's.
-func (s *Store) Save(key string, data []byte) (written bool, evicted int) {
-	path := s.path(key)
+// Write stores data as slot name atomically: a temp file in the store
+// directory is written, fsynced and renamed over the slot, so a
+// concurrent reader never observes a torn slot and a crash right after
+// the rename cannot leave a durable-looking slot with unflushed content.
+func (s *Store) Write(name string, data []byte) error {
+	path := s.path(name)
 	if path == "" {
-		return false, 0
+		return fmt.Errorf("snap: no store, or unsafe slot name %q", name)
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return false, 0
+		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, ".snap-*")
+	tmp, err := os.CreateTemp(s.dir, ".slot-*")
 	if err != nil {
-		return false, 0
+		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // temp files start 0600; slots are artifacts others read
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return false, 0
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return false, 0
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return false, 0
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return false, 0
-	}
-	return true, s.evict(path)
+	return err
 }
 
 // evict removes least-recently-used slots until the store fits under

@@ -17,9 +17,9 @@
 //   - Registry (registry.go): atomic counters, gauges, and fixed-bucket
 //     histograms. Counter.Add / Histogram.Observe are lock-free and
 //     allocation-free, so instruments can sit on hot paths. A registry
-//     renders as Prometheus text exposition (WritePrometheus); the
-//     serving tier additionally keeps its legacy JSON document shape by
-//     reading the typed handles directly.
+//     renders as Prometheus text exposition (WritePrometheus), and
+//     ParseExposition reads one back (the serve smoke and loadgen read
+//     sccserve's counters that way).
 //   - Logging (log.go): NewLogger builds a leveled slog.Logger with a
 //     JSON or text handler; NewRequestID mints the correlation ID the
 //     serving tier threads from HTTP admission through runner jobs,

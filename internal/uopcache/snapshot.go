@@ -30,7 +30,7 @@ func EncodeLine(w *snap.Writer, l *Line) {
 // the reader is poisoned.
 func DecodeLine(r *snap.Reader) *Line {
 	l := &Line{EntryPC: r.U64()}
-	if n := int(r.U32()); n > 0 {
+	if n := r.Len(-1); n > 0 {
 		us := make([]uop.UOp, n)
 		r.Block(us)
 		l.Uops = us
@@ -90,7 +90,7 @@ func encodeMeta(w *snap.Writer, m *CompactMeta) {
 
 func decodeMeta(r *snap.Reader) *CompactMeta {
 	m := &CompactMeta{}
-	if n := int(r.U32()); n > 0 {
+	if n := r.Len(-1); n > 0 {
 		m.DataInv = make([]DataInvariant, n)
 		for i := range m.DataInv {
 			d := &m.DataInv[i]
@@ -103,7 +103,7 @@ func decodeMeta(r *snap.Reader) *CompactMeta {
 			d.SrcKind = r.U8()
 		}
 	}
-	if n := int(r.U32()); n > 0 {
+	if n := r.Len(-1); n > 0 {
 		m.CtrlInv = make([]CtrlInvariant, n)
 		for i := range m.CtrlInv {
 			c := &m.CtrlInv[i]
@@ -114,7 +114,7 @@ func decodeMeta(r *snap.Reader) *CompactMeta {
 			c.ConfAtPlant = r.Int()
 		}
 	}
-	if n := int(r.U32()); n > 0 {
+	if n := r.Len(-1); n > 0 {
 		m.LiveOuts = make([]LiveOut, n)
 		for i := range m.LiveOuts {
 			m.LiveOuts[i].Reg = isa.Reg(r.U8())
@@ -165,7 +165,7 @@ func (p *Partition) RestoreSnapshot(r *snap.Reader) {
 	p.decayAcc = r.Int()
 	r.Block(&p.Stats)
 	for si := range p.sets {
-		n := int(r.U32())
+		n := r.Len(-1)
 		set := make([]*Line, 0, n)
 		for i := 0; i < n; i++ {
 			l := DecodeLine(r)

@@ -160,10 +160,12 @@ func Figure11(opts Options) (*harness.Fig11, error) { return harness.Fig11Run(op
 func Extension(opts Options) (*harness.Ext, error) { return harness.ExtRun(opts) }
 
 // SimPointSweep estimates every workload's whole-program IPC from
-// SimPoint representatives under full SCC. With Options.ShardSimPoints
-// each representative is measured as its own scheduler job with
-// functional fast-forward warmup (parallel across Options.Parallel
-// workers); otherwise each workload runs as one serial resumable pass.
+// SimPoint representatives under full SCC. Each workload's detailed
+// warmup runs once and is checkpointed at the boundaries the
+// representatives start at; every representative is then restored from
+// its checkpoint as its own scheduler job (parallel across
+// Options.Parallel workers, persisted in Options.SnapshotDir when set).
+// Estimates are bit-equal to the serial detailed pass.
 func SimPointSweep(opts Options) (*harness.SimPointSweep, error) {
 	return harness.SimPointSweepRun(opts)
 }
