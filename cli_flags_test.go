@@ -26,9 +26,7 @@ func TestCLIRejectsNegativeParallel(t *testing.T) {
 	}{
 		// Each invocation would be a real (if tiny) run when valid, so a
 		// pass proves validation fires before any simulation starts.
-		{"sccsim", []string{"-parallel", "-1", "-workload", "mcf", "-max-uops", "1000"}},
 		{"sccbench", []string{"-parallel", "-1", "-experiment", "table1"}},
-		{"scctrace", []string{"-parallel", "-1", "-workload", "mcf", "-max-uops", "1000"}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -136,18 +134,6 @@ func TestCLIRejectsBadSnapshotFlags(t *testing.T) {
 			"-snapshot-max-bytes must be >= 0"},
 		{"sccbench/dir-is-file", "sccbench",
 			[]string{"-snapshot-dir", notADir, "-experiment", "simpoint-snapshot"},
-			"-snapshot-dir " + notADir + " exists and is not a directory"},
-		{"sccsim/negative-cap", "sccsim",
-			[]string{"-snapshot-max-bytes", "-1", "-workload", "mcf", "-max-uops", "1000"},
-			"-snapshot-max-bytes must be >= 0"},
-		{"sccsim/dir-is-file", "sccsim",
-			[]string{"-snapshot-dir", notADir, "-workload", "mcf", "-max-uops", "1000"},
-			"-snapshot-dir " + notADir + " exists and is not a directory"},
-		{"sccserve/negative-cap", "sccserve",
-			[]string{"-snapshot-max-bytes", "-1", "-addr", "127.0.0.1:0"},
-			"-snapshot-max-bytes must be >= 0"},
-		{"sccserve/dir-is-file", "sccserve",
-			[]string{"-snapshot-dir", notADir, "-addr", "127.0.0.1:0"},
 			"-snapshot-dir " + notADir + " exists and is not a directory"},
 	}
 	for _, tc := range cases {

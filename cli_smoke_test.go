@@ -20,12 +20,11 @@ func TestCLIVersionFlag(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	// The tools that carry the snapshot-store flags parse them alongside
-	// -version, so the matrix doubles as a flag-registration check.
+	// sccbench, the one tool that carries the snapshot-store flags,
+	// parses them alongside -version, so the matrix doubles as a
+	// flag-registration check.
 	extra := map[string][]string{
-		"sccsim":   {"-snapshot-dir", "snapcache", "-snapshot-max-bytes", "1048576"},
 		"sccbench": {"-snapshot-dir", "snapcache", "-snapshot-max-bytes", "1048576"},
-		"sccserve": {"-snapshot-dir", "snapcache", "-snapshot-max-bytes", "1048576"},
 	}
 	for _, tool := range []string{"sccsim", "sccbench", "scctrace", "sccdiff", "sccserve"} {
 		tool := tool
@@ -49,10 +48,11 @@ func TestCLIVersionFlag(t *testing.T) {
 	}
 }
 
-// TestCLIMetricsDump runs a real (tiny) simulation through sccsim with
-// -metrics-dump - and validates the emitted Prometheus exposition: it
-// must parse under the scraper's structural rules and carry the runner's
-// job counters for the run that just happened.
+// TestCLIMetricsDump runs a real (tiny) simulation through each
+// single-run command with -metrics-dump - and validates the emitted
+// Prometheus exposition: it must parse under the scraper's structural
+// rules and carry the runner's job counters for the run that just
+// happened — both commands schedule their run through the runner.
 func TestCLIMetricsDump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI builds in -short mode")
@@ -60,32 +60,38 @@ func TestCLIMetricsDump(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	out, err := exec.Command("go", "run", "./cmd/sccsim",
-		"-workload", "mcf", "-max-uops", "2000", "-metrics-dump", "-").Output()
-	if err != nil {
-		t.Fatalf("sccsim -metrics-dump: %v", err)
-	}
-	// The exposition is everything after the run report; locate its first
-	// header line and parse from there.
-	idx := strings.Index(string(out), "# HELP")
-	if idx < 0 {
-		t.Fatalf("no exposition in stdout:\n%s", out)
-	}
-	exp, err := telemetry.ParseExposition(out[idx:])
-	if err != nil {
-		t.Fatalf("exposition does not validate: %v\n%s", err, out[idx:])
-	}
-	if exp.Samples["runner_jobs_completed_total"] != 1 {
-		t.Errorf("runner_jobs_completed_total = %v, want 1 (one run executed)",
-			exp.Samples["runner_jobs_completed_total"])
-	}
-	if exp.Samples["runner_sweeps_total"] != 1 {
-		t.Errorf("runner_sweeps_total = %v, want 1", exp.Samples["runner_sweeps_total"])
-	}
-	if _, ok := exp.Samples["process_uptime_seconds"]; !ok {
-		t.Error("process_uptime_seconds missing from the dump")
-	}
-	if typ := exp.Types["runner_job_wall_seconds"]; typ != "histogram" {
-		t.Errorf("runner_job_wall_seconds TYPE = %q, want histogram", typ)
+	for _, tool := range []string{"sccsim", "scctrace"} {
+		tool := tool
+		t.Run(tool, func(t *testing.T) {
+			t.Parallel()
+			out, err := exec.Command("go", "run", "./cmd/"+tool,
+				"-workload", "mcf", "-max-uops", "2000", "-metrics-dump", "-").Output()
+			if err != nil {
+				t.Fatalf("%s -metrics-dump: %v", tool, err)
+			}
+			// The exposition is everything after the run report; locate its
+			// first header line and parse from there.
+			idx := strings.Index(string(out), "# HELP")
+			if idx < 0 {
+				t.Fatalf("no exposition in stdout:\n%s", out)
+			}
+			exp, err := telemetry.ParseExposition(out[idx:])
+			if err != nil {
+				t.Fatalf("exposition does not validate: %v\n%s", err, out[idx:])
+			}
+			if exp.Samples["runner_jobs_completed_total"] != 1 {
+				t.Errorf("runner_jobs_completed_total = %v, want 1 (one run executed)",
+					exp.Samples["runner_jobs_completed_total"])
+			}
+			if exp.Samples["runner_sweeps_total"] != 1 {
+				t.Errorf("runner_sweeps_total = %v, want 1", exp.Samples["runner_sweeps_total"])
+			}
+			if _, ok := exp.Samples["process_uptime_seconds"]; !ok {
+				t.Error("process_uptime_seconds missing from the dump")
+			}
+			if typ := exp.Types["runner_job_wall_seconds"]; typ != "histogram" {
+				t.Errorf("runner_job_wall_seconds TYPE = %q, want histogram", typ)
+			}
+		})
 	}
 }

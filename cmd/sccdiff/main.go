@@ -184,7 +184,7 @@ func explainEntries(rep *obs.DiffReport, base, cur *obs.Index, basePath, curPath
 			out = append(out, ee)
 			continue
 		}
-		ex, err := explain.Explain(bm, cm, explain.Options{})
+		ex, err := explain.Explain(bm, cm)
 		if err != nil {
 			ee.Error = err.Error()
 			out = append(out, ee)

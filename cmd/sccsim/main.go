@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"sccsim"
 	"sccsim/internal/asm"
@@ -50,13 +49,7 @@ func run() int {
 		optSets  = flag.Int("specCacheNumSets", 24, "optimized-partition sets (of 48 total)")
 		width    = flag.Int("const-width", 64, "inlined-constant width in bits (8/16/32/64)")
 		maxUops  = flag.Uint64("max-uops", 0, "program-work budget in micro-ops (0 = workload default)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"sweep worker count for library Options plumbing (a single run uses one)")
-		snapshotDir = flag.String("snapshot-dir", "",
-			"directory for the warmup snapshot store shared with sccbench sweeps (\"\" = disabled)")
-		snapshotMaxBytes = flag.Int64("snapshot-max-bytes", 0,
-			"size cap for the snapshot store in bytes; least-recently-used slots are evicted past it (0 = unbounded)")
-		verbose = flag.Bool("v", false, "print the full counter dump")
+		verbose  = flag.Bool("v", false, "print the full counter dump")
 
 		version   = flag.Bool("version", false, "print the simulator version and exit")
 		jsonPath  = flag.String("json", "", "write the JSON run manifest to this path")
@@ -96,20 +89,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sccsim: -pipeview-limit must be positive (got %d)\n", *pipeviewN)
 		return 2
 	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "sccsim: -parallel must be >= 0 (0 = GOMAXPROCS), got %d\n", *parallel)
-		return 2
-	}
-	if *snapshotMaxBytes < 0 {
-		fmt.Fprintf(os.Stderr, "sccsim: -snapshot-max-bytes must be >= 0 (0 = unbounded), got %d\n", *snapshotMaxBytes)
-		return 2
-	}
-	if *snapshotDir != "" {
-		if info, err := os.Stat(*snapshotDir); err == nil && !info.IsDir() {
-			fmt.Fprintf(os.Stderr, "sccsim: -snapshot-dir %s exists and is not a directory\n", *snapshotDir)
-			return 2
-		}
-	}
 
 	if *list {
 		for _, w := range sccsim.Workloads() {
@@ -140,10 +119,7 @@ func run() int {
 		cfg = cfg.WithValuePredictor(*lvpred)
 	}
 
-	opts := sccsim.Options{
-		MaxUops: *maxUops, Parallel: *parallel, Logger: logger,
-		SnapshotDir: *snapshotDir, SnapshotMaxBytes: *snapshotMaxBytes,
-	}
+	opts := sccsim.Options{MaxUops: *maxUops, Logger: logger}
 	if *jsonPath != "" || *tracePath != "" {
 		opts.SampleEvery = *sampleIv
 	}

@@ -12,11 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
 	"sccsim"
+	"sccsim/internal/harness"
 	"sccsim/internal/obs"
+	"sccsim/internal/pipeline"
 	"sccsim/internal/scc"
 	"sccsim/internal/telemetry"
 	"sccsim/internal/uopcache"
@@ -35,8 +36,7 @@ func run() int {
 			"retain the last N micro-ops in the -pipeview trace")
 		optReport = flag.String("optreport", "", "write the SCC optimization report to this path (\"-\" = stdout text, .json = JSON)")
 		version   = flag.Bool("version", false, "print the simulator version and exit")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"sweep worker count for library Options plumbing (a single trace uses one)")
+
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulator to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile of the simulator to this path")
 
@@ -65,10 +65,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "scctrace: -pipeview-limit must be positive (got %d)\n", *pipeviewN)
 		return 2
 	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "scctrace: -parallel must be >= 0 (0 = GOMAXPROCS), got %d\n", *parallel)
-		return 2
-	}
 	if *workload == "" {
 		fmt.Fprintln(os.Stderr, "scctrace: need -workload (see sccsim -list)")
 		return 2
@@ -88,34 +84,32 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "scctrace:", err)
 		}
 	}()
-	// The same Options plumbing and machine setup path as sccsim/sccbench
-	// (budget override + workload memory init) — scctrace keeps the
-	// Machine because it inspects the optimized partition after the run.
-	opts := sccsim.Options{MaxUops: *maxUops, Parallel: *parallel}
-	m, err := sccsim.Prepare(sccsim.SCCConfig(scc.Level(*level)), w, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scctrace:", err)
-		return 1
-	}
+	// The same scheduled run path as sccsim and sccbench: budget override,
+	// workload memory init, runner metrics, and a simulation panic
+	// reported as an error. Observe keeps the machine, because the line
+	// dump below inspects the optimized partition after the run.
 	var tracer *obs.PipeTracer
 	if *pipeview != "" {
 		tracer = obs.NewPipeTracer(*pipeviewN)
-		tracer.Attach(m)
 	}
-	var journal *obs.JournalAggregator
-	if *optReport != "" {
-		journal = obs.NewJournalAggregator()
-		journal.Attach(m)
+	var m *pipeline.Machine
+	opts := harness.Options{
+		MaxUops: *maxUops,
+		Logger:  logger,
+		Journal: *optReport != "",
+		Observe: func(pm *pipeline.Machine) {
+			m = pm
+			if tracer != nil {
+				tracer.Attach(pm)
+			}
+		},
 	}
-	logger.Debug("trace run start", "workload", w.Name, "max_uops", m.Cfg.MaxUops)
-	st, err := m.Run()
+	res, err := harness.RunOne(sccsim.SCCConfig(scc.Level(*level)), w, opts)
 	if err != nil {
-		logger.Error("trace run failed", "workload", w.Name, "error", err.Error())
 		fmt.Fprintln(os.Stderr, "scctrace:", err)
 		return 1
 	}
-	logger.Info("trace run done", "workload", w.Name,
-		"cycles", st.Cycles, "uops", st.CommittedUops)
+	st := res.Stats
 	if tracer != nil {
 		if err := tracer.WriteFile(*pipeview); err != nil {
 			fmt.Fprintln(os.Stderr, "scctrace:", err)
@@ -124,8 +118,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "scctrace: wrote pipeline trace %s (%d of %d uops retained; open in Konata)\n",
 			*pipeview, tracer.Total()-tracer.Dropped(), tracer.Total())
 	}
-	if journal != nil {
-		rep := journal.Report(w.Name)
+	if rep := res.OptReport; rep != nil {
 		if err := obs.WriteOptReport(rep, *optReport); err != nil {
 			fmt.Fprintln(os.Stderr, "scctrace:", err)
 			return 1

@@ -8,7 +8,6 @@
 package emu
 
 import (
-	"fmt"
 	"math"
 
 	"sccsim/internal/asm"
@@ -404,13 +403,4 @@ func (m *Machine) Rollback() {
 	}
 	m.undoActive = false
 	m.undoMem = m.undoMem[:0]
-}
-
-// DumpRegs formats the integer register file for debugging.
-func (m *Machine) DumpRegs() string {
-	s := ""
-	for r := isa.R0; r <= isa.SP; r++ {
-		s += fmt.Sprintf("%s=%d ", r, m.St.Get(r))
-	}
-	return s
 }

@@ -34,38 +34,14 @@ import (
 	"sccsim/internal/pipeline"
 )
 
-// Options tunes an explanation.
-type Options struct {
-	// NoiseFrac is the per-window relative IPC divergence threshold
-	// (0 = DefaultNoiseFrac). A window diverges when
-	// |curIPC - baseIPC| > max(NoiseAbs, NoiseFrac*|baseIPC|).
-	NoiseFrac float64
-	// NoiseAbs is the absolute IPC floor of the divergence test
-	// (0 = DefaultNoiseAbs), guarding near-zero-IPC windows where any
-	// relative threshold would fire on noise.
-	NoiseAbs float64
-}
-
-// Default noise floor for interval divergence: 2% relative IPC movement,
-// but never less than 0.01 IPC absolute.
+// Noise floor for interval divergence: a window diverges when
+// |curIPC - baseIPC| > max(noiseAbs, noiseFrac*|baseIPC|) — 2% relative
+// IPC movement, but never less than 0.01 IPC absolute, guarding
+// near-zero-IPC windows where any relative threshold would fire on noise.
 const (
-	DefaultNoiseFrac = 0.02
-	DefaultNoiseAbs  = 0.01
+	noiseFrac = 0.02
+	noiseAbs  = 0.01
 )
-
-func (o Options) noiseFrac() float64 {
-	if o.NoiseFrac > 0 {
-		return o.NoiseFrac
-	}
-	return DefaultNoiseFrac
-}
-
-func (o Options) noiseAbs() float64 {
-	if o.NoiseAbs > 0 {
-		return o.NoiseAbs
-	}
-	return DefaultNoiseAbs
-}
 
 // IncomparableError reports that two manifests cannot be meaningfully
 // explained against each other (different workloads, missing stats).
@@ -128,7 +104,7 @@ type TransformDelta struct {
 	Kind       string `json:"kind"`
 	StaticBase uint64 `json:"static_base"`
 	StaticCur  uint64 `json:"static_cur"`
-	WinsBase   uint64 `json:"dyn_wins_base"`   // dynamic uops saved
+	WinsBase   uint64 `json:"dyn_wins_base"` // dynamic uops saved
 	WinsCur    uint64 `json:"dyn_wins_cur"`
 	LossesBase uint64 `json:"dyn_losses_base"` // squash-attributed losses
 	LossesCur  uint64 `json:"dyn_losses_cur"`
@@ -212,7 +188,7 @@ func intervalSlotCycles(iv *obs.Interval) [9]uint64 {
 // returns *IncomparableError when the two runs cannot be compared
 // (different workloads, missing stats); every softer degradation (no
 // scc_report, no samples) is recorded in Notes instead.
-func Explain(base, cur *obs.Manifest, opts Options) (*Explanation, error) {
+func Explain(base, cur *obs.Manifest) (*Explanation, error) {
 	if base == nil || cur == nil {
 		return nil, &IncomparableError{Reason: "nil manifest"}
 	}
@@ -247,7 +223,7 @@ func Explain(base, cur *obs.Manifest, opts Options) (*Explanation, error) {
 
 	ex.Transforms, ex.SquashPenaltyCycles = transformDeltas(base, cur, &ex.Notes)
 
-	ex.Divergence = divergence(base.Samples, cur.Samples, opts, &ex.Notes)
+	ex.Divergence = divergence(base.Samples, cur.Samples, &ex.Notes)
 
 	return ex, nil
 }
@@ -406,7 +382,7 @@ func sortTransforms(ts []TransformDelta) {
 // divergence scans the aligned interval series for the first window
 // whose IPC delta exceeds the noise floor and names the dominant
 // contributing CPI slot of that window.
-func divergence(base, cur []obs.Interval, opts Options, notes *[]string) *Divergence {
+func divergence(base, cur []obs.Interval, notes *[]string) *Divergence {
 	missing := ""
 	switch {
 	case len(base) == 0 && len(cur) == 0:
@@ -432,8 +408,8 @@ func divergence(base, cur []obs.Interval, opts Options, notes *[]string) *Diverg
 	}
 	for i := 0; i < n; i++ {
 		b, c := &base[i], &cur[i]
-		floor := opts.noiseAbs()
-		if f := opts.noiseFrac() * math.Abs(b.IPC); f > floor {
+		floor := noiseAbs
+		if f := noiseFrac * math.Abs(b.IPC); f > floor {
 			floor = f
 		}
 		delta := c.IPC - b.IPC

@@ -1,5 +1,5 @@
-// Tests are an external package so they can drive internal/harness
-// (which imports explain for ExplainManifests) without a cycle.
+// Tests are an external package: they drive internal/harness to
+// simulate the manifest pairs they explain.
 package explain_test
 
 import (
@@ -71,7 +71,7 @@ func ablationPair(t *testing.T) (*obs.Manifest, *obs.Manifest) {
 // total cycles-per-uop delta numerator.
 func TestExplainExactSum(t *testing.T) {
 	base, cur := ablationPair(t)
-	ex, err := explain.Explain(base, cur, explain.Options{})
+	ex, err := explain.Explain(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestExplainExactSum(t *testing.T) {
 // transform list (the acceptance criterion behind sccdiff -explain).
 func TestExplainAblationAttribution(t *testing.T) {
 	base, cur := ablationPair(t)
-	ex, err := explain.Explain(base, cur, explain.Options{})
+	ex, err := explain.Explain(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func abs64(n int64) int64 {
 func TestExplainDeterminism(t *testing.T) {
 	encode := func() []byte {
 		base, cur := ablationPair(t)
-		ex, err := harness.ExplainManifests(base, cur)
+		ex, err := explain.Explain(base, cur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestExplainDeterminism(t *testing.T) {
 // explanation, like the opt-report goldens. Regenerate with -update.
 func TestExplainGolden(t *testing.T) {
 	base, cur := ablationPair(t)
-	ex, err := explain.Explain(base, cur, explain.Options{})
+	ex, err := explain.Explain(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestExplainGolden(t *testing.T) {
 // everywhere and no divergent window.
 func TestExplainSelf(t *testing.T) {
 	base, _ := ablationPair(t)
-	ex, err := explain.Explain(base, base, explain.Options{})
+	ex, err := explain.Explain(base, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestExplainSelf(t *testing.T) {
 func TestExplainIncomparable(t *testing.T) {
 	base, _ := ablationPair(t)
 	other := runOtherWorkload(t)
-	_, err := explain.Explain(base, other, explain.Options{})
+	_, err := explain.Explain(base, other)
 	if err == nil {
 		t.Fatal("expected an incomparable error across workloads")
 	}
@@ -281,7 +281,7 @@ func TestExplainDegradesToNotes(t *testing.T) {
 	base, cur := ablationPair(t)
 	base.SCCReport, cur.SCCReport = nil, nil
 	base.Samples, cur.Samples = nil, nil
-	ex, err := explain.Explain(base, cur, explain.Options{})
+	ex, err := explain.Explain(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}

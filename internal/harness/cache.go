@@ -23,10 +23,16 @@ import (
 // directory a warm cache.
 
 // CacheName is the file name a (workload, config hash) manifest is
-// stored under: <workload>-<hash12>.json. With an empty workload it is
-// the "-<hash12>.json" suffix every name for that hash ends in.
+// stored under: the slot stem <workload>-<hash12> (snap.Stem) plus
+// ".json". With an empty workload it is the "-<hash12>.json" suffix
+// every name for that hash ends in. It returns "" when snap.Stem
+// rejects the inputs.
 func CacheName(workload, hash string) string {
-	return workload + "-" + hash[:12] + ".json"
+	stem := snap.Stem(workload, hash)
+	if stem == "" {
+		return ""
+	}
+	return stem + ".json"
 }
 
 // WriteManifest stores man in dir under CacheName through the slot
@@ -68,9 +74,8 @@ func readManifest(dir, name string) *obs.Manifest {
 // effective configuration. It returns nil on any miss: absent or
 // undecodable slot, hash/version/schema mismatch (a stale entry, missed
 // but kept), or a manifest without the interval series the caller asked
-// for. Energy is recomputed from the cached counters because
-// EnergyParams are a post-processing knob that is deliberately not part
-// of the config hash.
+// for. Energy is recomputed from the cached counters with the default
+// energy constants, exactly as a fresh run computes it.
 func loadCached(opts Options, w workloads.Workload, cfg pipeline.Config) *RunResult {
 	hash := obs.ConfigHash(w.Name, cfg)
 	man := readManifest(opts.CacheDir, CacheName(w.Name, hash))
@@ -84,7 +89,7 @@ func loadCached(opts Options, w workloads.Workload, cfg pipeline.Config) *RunRes
 		Workload:  man.Workload,
 		Config:    man.Config,
 		Stats:     man.Stats,
-		Energy:    power.Energy(opts.energyParams(), man.Stats, man.Mem),
+		Energy:    power.Energy(power.DefaultParams(), man.Stats, man.Mem),
 		Mem:       man.Mem,
 		Unit:      man.Unit,
 		Samples:   man.Samples,
@@ -104,9 +109,8 @@ func storeCached(dir string, r *RunResult) {
 // without ever occupying a worker slot. The work budget is resolved
 // exactly as Prepare resolves it (opts.MaxUops, else the workload
 // default), so the probe keys on the same effective configuration a
-// run would hash. opts also carries the knobs that shape the
-// rehydrated result (SampleEvery, EnergyParams); it returns nil on any
-// miss.
+// run would hash. opts also carries the knob that shapes the
+// rehydrated result (SampleEvery); it returns nil on any miss.
 func Probe(dir string, w workloads.Workload, cfg pipeline.Config, opts Options) *RunResult {
 	opts.CacheDir = dir
 	cfg.MaxUops = opts.maxUops(w)

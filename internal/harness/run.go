@@ -82,8 +82,6 @@ type Options struct {
 	MaxUops uint64
 	// Workloads restricts the set (nil = all 19).
 	Workloads []workloads.Workload
-	// EnergyParams overrides the default energy constants.
-	EnergyParams *power.EnergyParams
 	// Parallel is the sweep worker count: 0 means GOMAXPROCS, 1 runs
 	// with exact serial semantics. Results are order-deterministic
 	// either way.
@@ -135,7 +133,7 @@ type Options struct {
 	// serving tier binds the admission request_id, so one correlation ID
 	// links the HTTP access log, scheduler events, and SCC journal
 	// entries of the same request. A pure tap: simulation results are
-	// byte-identical with or without it (TestTelemetryPureTap).
+	// byte-identical with or without it (TestPureTaps).
 	Logger *slog.Logger
 }
 
@@ -153,13 +151,6 @@ func (o Options) maxUops(w workloads.Workload) uint64 {
 	return w.DefaultMaxUops
 }
 
-func (o Options) energyParams() power.EnergyParams {
-	if o.EnergyParams != nil {
-		return *o.EnergyParams
-	}
-	return power.DefaultParams()
-}
-
 func (o Options) runnerConfig() runner.Config {
 	return runner.Config{Parallel: o.Parallel, Progress: o.Progress, Logger: o.Logger}
 }
@@ -172,8 +163,8 @@ func (o Options) ctx() context.Context {
 }
 
 // Prepare builds the machine for one (workload, configuration) run:
-// it applies the work budget and seeds workload memory. This is the
-// single setup path shared by the harness and all three CLIs.
+// it applies the work budget and seeds workload memory. RunOne and
+// every sweep job set up their machines through it.
 func Prepare(cfg pipeline.Config, w workloads.Workload, opts Options) (*pipeline.Machine, error) {
 	cfg.MaxUops = opts.maxUops(w)
 	m, err := pipeline.New(cfg, w.Program())
@@ -191,7 +182,7 @@ func Prepare(cfg pipeline.Config, w workloads.Workload, opts Options) (*pipeline
 // runner-provided context, so a trace bound into Options.Ctx reaches
 // every run's span tree. All spans are pure taps — they read clocks and
 // copy attributes, never feed back into the simulation
-// (TestTracingPureTap pins byte-identical manifests either way).
+// (TestPureTaps pins byte-identical manifests either way).
 func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opts Options) (*RunResult, error) {
 	ctx, runSpan := tracing.Start(ctx, "harness.run", tracing.String("workload", w.Name))
 	defer runSpan.End()
@@ -303,7 +294,7 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 		Workload: w.Name,
 		Config:   m.Cfg,
 		Stats:    st,
-		Energy:   power.Energy(opts.energyParams(), st, mem),
+		Energy:   power.Energy(power.DefaultParams(), st, mem),
 		Mem:      mem,
 	}
 	if m.Unit != nil {
@@ -366,16 +357,4 @@ func RunOneTimed(cfg pipeline.Config, w workloads.Workload, opts Options) (*RunR
 		return nil, sum, err
 	}
 	return res[0], sum, nil
-}
-
-// RunPair executes a workload under the baseline and one SCC configuration.
-func RunPair(sccCfg pipeline.Config, w workloads.Workload, opts Options) (base, withSCC *RunResult, err error) {
-	res, _, err := sweep(opts, []runner.Job[*RunResult]{
-		job(pipeline.Icelake(), w, opts),
-		job(sccCfg, w, opts),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res[0], res[1], nil
 }

@@ -9,6 +9,7 @@ import (
 	"sccsim/internal/pipeline"
 	"sccsim/internal/scc"
 	"sccsim/internal/simpoint"
+	"sccsim/internal/stats"
 	"sccsim/internal/workloads"
 )
 
@@ -94,24 +95,22 @@ func detailedWalk(cfg pipeline.Config, w workloads.Workload, intervalUops uint64
 }
 
 // weightedEstimate is the estimators' shared merge: per-representative
-// interval deltas (shards aligned with points), their weighted IPC, and
-// the full run's IPC from its final reading.
+// interval deltas (shards aligned with points), their IPCs weighted by
+// simpoint.WeightedMetric, and the full run's IPC from its final reading.
 func weightedEstimate(points []simpoint.SimPoint, shards []shardSample, full reading) *SimPointResult {
 	res := &SimPointResult{Points: points}
-	var weighted float64
-	for i, p := range points {
+	ipcs := make([]float64, len(points))
+	for i := range points {
 		cyc := shards[i].hi.cycles - shards[i].lo.cycles
 		uops := shards[i].hi.uops - shards[i].lo.uops
 		res.IntervalCycles = append(res.IntervalCycles, cyc)
 		res.IntervalUops = append(res.IntervalUops, uops)
-		if cyc > 0 {
-			weighted += p.Weight * (float64(uops) / float64(cyc))
-		}
+		ipcs[i] = stats.Ratio(float64(uops), float64(cyc))
 	}
-	res.WeightedIPC = weighted
-	if full.cycles > 0 {
-		res.FullIPC = float64(full.uops) / float64(full.cycles)
-	}
+	// ipcs is aligned with points by construction, so WeightedMetric's
+	// length check cannot fail.
+	res.WeightedIPC, _ = simpoint.WeightedMetric(points, ipcs)
+	res.FullIPC = stats.Ratio(float64(full.uops), float64(full.cycles))
 	return res
 }
 

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"sccsim/internal/pipeline"
+	"sccsim/internal/simpoint"
 	"sccsim/internal/workloads"
 )
 
@@ -70,5 +72,30 @@ func TestSimPointEstimateUnderSCC(t *testing.T) {
 	rel := res.WeightedIPC/res.FullIPC - 1
 	if rel < -0.30 || rel > 0.30 {
 		t.Errorf("SCC weighted IPC %.3f vs full %.3f", res.WeightedIPC, res.FullIPC)
+	}
+}
+
+// TestSelectIsDeterministic pins simpoint.Select to one answer per
+// profile: these profiles hold near-ties that a distance summed in Go's
+// random map order broke differently from call to call.
+func TestSelectIsDeterministic(t *testing.T) {
+	cases := []struct {
+		workload       string
+		budget, ivUops uint64
+	}{
+		{"perlbench", 40_000, 5_000},
+		{"perlbench", 30_000, 3_750},
+		{"gcc", 30_000, 3_750},
+	}
+	for _, tc := range cases {
+		w, _ := workloads.ByName(tc.workload)
+		ivs := ProfileBBV(w, tc.ivUops, tc.budget)
+		want := simpoint.Select(ivs, simPointK)
+		for i := 0; i < 50; i++ {
+			if got := simpoint.Select(ivs, simPointK); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (%d-uop budget, %d-uop intervals): call %d selected %v, first call %v",
+					tc.workload, tc.budget, tc.ivUops, i, got, want)
+			}
+		}
 	}
 }

@@ -2,82 +2,15 @@ package harness
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
-	"sccsim/internal/pipeline"
-	"sccsim/internal/scc"
 	"sccsim/internal/telemetry"
-	"sccsim/internal/workloads"
 )
-
-// TestTelemetryPureTap pins the observability layer as a pure tap: a run
-// with a Debug-level structured logger (which turns on the SCC journal
-// logging tee and its remark collection), the opt-report aggregator, and
-// interval sampling must produce a normalized manifest byte-identical to
-// a bare run. If instrumentation ever feeds back into simulation state,
-// this test is the tripwire.
-func TestTelemetryPureTap(t *testing.T) {
-	w, ok := workloads.ByName("xalancbmk")
-	if !ok {
-		t.Fatal("workload xalancbmk not found")
-	}
-	cfg := pipeline.IcelakeSCC(scc.LevelFull)
-
-	manifestBytes := func(opts Options) []byte {
-		t.Helper()
-		res, err := RunOne(cfg, w, opts)
-		if err != nil {
-			t.Fatalf("RunOne: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := res.Manifest().Normalize().Encode(&buf); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		return buf.Bytes()
-	}
-
-	bare := manifestBytes(Options{MaxUops: 20000, Parallel: 1})
-
-	var logBuf bytes.Buffer
-	logger, err := telemetry.NewLogger(&logBuf, "debug", "json")
-	if err != nil {
-		t.Fatalf("NewLogger: %v", err)
-	}
-	instrumented := manifestBytes(Options{
-		MaxUops:     20000,
-		Parallel:    1,
-		Journal:     true,
-		SampleEvery: 5000,
-		Logger:      logger.With("request_id", telemetry.NewRequestID()),
-	})
-
-	// Sampling changes the manifest (Samples series), so compare against a
-	// sampled-but-silent run for byte identity, and a bare run for the
-	// core stats block.
-	sampled := manifestBytes(Options{MaxUops: 20000, Parallel: 1, SampleEvery: 5000})
-	if !bytes.Equal(instrumented, sampled) {
-		t.Errorf("telemetry altered the manifest:\nwith telemetry:\n%s\nwithout:\n%s",
-			instrumented, sampled)
-	}
-	if bytes.Equal(bare, sampled) {
-		t.Errorf("sampled manifest unexpectedly identical to bare manifest (sampler not attached?)")
-	}
-
-	// The logger must actually have seen the run: lifecycle events plus
-	// journal events, all carrying the bound correlation ID.
-	out := logBuf.String()
-	for _, want := range []string{"harness run start", "harness run done", "runner job done", "scc job", "request_id"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q; got:\n%s", want, out)
-		}
-	}
-}
 
 // TestTelemetryLoggerOffByDefault pins that a nil logger costs nothing
 // visible: no journal hooks attach, and results match the instrumented
-// path (covered above transitively, but the explicit nil-Logger run also
-// guards the gate in debugEnabled).
+// path (covered by TestPureTaps transitively, but the explicit
+// nil-Logger check also guards the gate in debugEnabled).
 func TestTelemetryLoggerOffByDefault(t *testing.T) {
 	if debugEnabled(nil) {
 		t.Fatal("debugEnabled(nil) = true")

@@ -16,60 +16,6 @@ func tracedOptions(tr *tracing.Tracer, opts Options) Options {
 	return opts
 }
 
-func traceManifestBytes(t *testing.T, cfg pipeline.Config, w workloads.Workload, opts Options) []byte {
-	t.Helper()
-	res, err := RunOne(cfg, w, opts)
-	if err != nil {
-		t.Fatalf("RunOne: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := res.Manifest().Normalize().Encode(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// TestTracingPureTap pins the span subsystem as a pure tap: a fully
-// traced run (span tree, per-interval sample spans) must produce a
-// normalized manifest byte-identical to a bare run of the same
-// configuration. If a span ever feeds back into simulation state, this
-// is the tripwire.
-func TestTracingPureTap(t *testing.T) {
-	w, ok := workloads.ByName("xalancbmk")
-	if !ok {
-		t.Fatal("workload xalancbmk not found")
-	}
-	cfg := pipeline.IcelakeSCC(scc.LevelFull)
-	opts := Options{MaxUops: 20000, Parallel: 1, SampleEvery: 5000, Journal: true}
-
-	bare := traceManifestBytes(t, cfg, w, opts)
-
-	tr := tracing.New(tracing.MintTraceID())
-	traced := traceManifestBytes(t, cfg, w, tracedOptions(tr, opts))
-	tr.Finish()
-
-	if !bytes.Equal(bare, traced) {
-		t.Errorf("tracing altered the manifest:\ntraced:\n%s\nbare:\n%s", traced, bare)
-	}
-
-	// The tracer must actually have seen the run.
-	names := map[string]int{}
-	for _, sp := range tr.Spans() {
-		names[sp.Name]++
-	}
-	for _, want := range []string{"harness.run", "harness.prepare", "harness.simulate", "harness.finalize"} {
-		if names[want] != 1 {
-			t.Errorf("span %q count = %d, want 1 (spans: %v)", want, names[want], names)
-		}
-	}
-	if names["sample.interval"] < 2 {
-		t.Errorf("sample.interval spans = %d, want >= 2 (20000 uops / 5000 window)", names["sample.interval"])
-	}
-	if err := tracing.ValidateTree(tr.Spans()); err != nil {
-		t.Errorf("traced run span tree invalid: %v", err)
-	}
-}
-
 // TestTracingSpanTreeStructure pins parentage: prepare/simulate/finalize
 // hang under harness.run, interval spans hang under harness.simulate,
 // and a cache-enabled run carries a cache.probe span whose hit attribute

@@ -19,9 +19,6 @@ import (
 // It is the consumer side of the journal tap — attach it before Run, then
 // build the report with Report() after the run finishes.
 type JournalAggregator struct {
-	// TopN bounds the per-ranking line lists in the report (default 10).
-	TopN int
-
 	requests [4]uint64 // indexed by scc.RequestOutcome
 
 	jobsTotal  uint64
@@ -50,8 +47,7 @@ type JournalAggregator struct {
 	forensics        []Forensic
 	forensicsDropped uint64
 
-	slices        []SCCJobSlice
-	slicesDropped uint64
+	slices []SCCJobSlice
 }
 
 // forensicsCap bounds the retained squash-forensics list; per-line and
@@ -61,6 +57,9 @@ const forensicsCap = 1000
 
 // sliceCap bounds the retained compaction-job slices for the trace lane.
 const sliceCap = 8192
+
+// topN bounds the per-ranking line lists in the report.
+const topN = 10
 
 type jobAgg struct {
 	id        uint64
@@ -106,7 +105,6 @@ type lineAgg struct {
 // NewJournalAggregator returns an empty aggregator.
 func NewJournalAggregator() *JournalAggregator {
 	return &JournalAggregator{
-		TopN:  10,
 		lines: make(map[uint64]*lineAgg),
 		jobs:  make(map[uint64]*jobAgg),
 	}
@@ -172,8 +170,6 @@ func (a *JournalAggregator) onJob(ev scc.JobEvent) {
 			JobID: ev.JobID, PC: ev.PC, Start: start, Cycles: uint64(ev.Cycles),
 			Committed: ev.Committed, Abort: ev.Abort.String(),
 		})
-	} else {
-		a.slicesDropped++
 	}
 }
 
@@ -235,12 +231,9 @@ type SCCJobSlice struct {
 	Abort     string
 }
 
-// JobSlices returns the recorded compaction-job spans (bounded; see
-// SlicesDropped) for the trace exporter.
+// JobSlices returns the recorded compaction-job spans, at most sliceCap
+// of them, for the trace exporter.
 func (a *JournalAggregator) JobSlices() []SCCJobSlice { return a.slices }
-
-// SlicesDropped reports job spans dropped past the recording cap.
-func (a *JournalAggregator) SlicesDropped() uint64 { return a.slicesDropped }
 
 // Forensic is one squash's forensic record: the violated invariant
 // attributed back to the job and transform that planted it.
@@ -454,10 +447,6 @@ func (a *JournalAggregator) Report(workload string) *SCCReport {
 	}
 	r.Lines = len(reports)
 
-	topN := a.TopN
-	if topN <= 0 {
-		topN = 10
-	}
 	bySaved := append([]LineReport(nil), reports...)
 	sort.Slice(bySaved, func(i, k int) bool {
 		if bySaved[i].UopsSaved != bySaved[k].UopsSaved {
@@ -489,11 +478,11 @@ func (a *JournalAggregator) Report(workload string) *SCCReport {
 // Summary condenses the report into the manifest's scc_report block.
 func (r *SCCReport) Summary() *SCCReportSummary {
 	s := &SCCReportSummary{
-		Requests:  r.Requests,
-		Jobs:      r.Jobs,
-		Lines:     r.Lines,
-		OptStream: r.Select.FromOpt,
-		GateTrips: r.Select.GateTrips,
+		Requests:     r.Requests,
+		Jobs:         r.Jobs,
+		Lines:        r.Lines,
+		OptStream:    r.Select.FromOpt,
+		GateTrips:    r.Select.GateTrips,
 		Squashes:     r.Squash.Squashes,
 		SquashCycles: r.Squash.PenaltyCycles,
 		UopsSaved:    r.UopsSaved,

@@ -1,6 +1,7 @@
-// SCC journal tests: the pure-tap property, exact reconciliation of the
-// opt-report against the simulator's own counters, squash forensics
-// attribution, and the golden report renderings.
+// SCC journal tests: exact reconciliation of the opt-report against the
+// simulator's own counters, squash forensics attribution, and the golden
+// report renderings. The pure-tap property is pinned with the other taps
+// by harness.TestPureTaps.
 package obs_test
 
 import (
@@ -37,44 +38,6 @@ func runJournaled(t *testing.T, name string, maxUops uint64) *harness.RunResult 
 		t.Fatal("Journal option set but OptReport is nil")
 	}
 	return res
-}
-
-// TestJournalPureTap: the journal must never feed back into the
-// simulation. For both the baseline and the full-SCC configuration, a
-// journaled run's normalized manifest must be byte-identical to the same
-// run without the journal.
-func TestJournalPureTap(t *testing.T) {
-	w, _ := workloads.ByName("xalancbmk")
-	configs := map[string]pipeline.Config{
-		"baseline": pipeline.Icelake(),
-		"scc-full": pipeline.IcelakeSCC(scc.LevelFull),
-	}
-	for name, cfg := range configs {
-		t.Run(name, func(t *testing.T) {
-			encode := func(journal bool) []byte {
-				res, err := harness.RunOne(cfg, w,
-					harness.Options{MaxUops: 20_000, Journal: journal})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if journal != (res.OptReport != nil) {
-					t.Fatalf("Journal=%v but OptReport presence=%v", journal, res.OptReport != nil)
-				}
-				if journal && res.Manifest().SCCReport == nil {
-					t.Error("journaled manifest missing the scc_report block")
-				}
-				var buf bytes.Buffer
-				if err := res.Manifest().Normalize().Encode(&buf); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
-			}
-			on, off := encode(true), encode(false)
-			if !bytes.Equal(on, off) {
-				t.Errorf("journal perturbed the simulation: normalized manifests differ\n--- journal on ---\n%s\n--- journal off ---\n%s", on, off)
-			}
-		})
-	}
 }
 
 // TestOptReportReconciles pins the report's accounting against the

@@ -151,6 +151,3 @@ func (s *Sampler) Finalize(final *pipeline.Stats) []Interval {
 	}
 	return s.intervals
 }
-
-// Intervals returns the series collected so far without closing the tail.
-func (s *Sampler) Intervals() []Interval { return s.intervals }

@@ -312,4 +312,3 @@ func TestBackendCanDispatchLimits(t *testing.T) {
 	}
 	_ = be2.canDispatch(1, false) // must not panic; occupancy drained by time
 }
-

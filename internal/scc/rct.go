@@ -87,14 +87,6 @@ func (t *RCT) Invalidate(r isa.Reg) {
 	t.entries[r] = rctEntry{}
 }
 
-// Materialized marks r's value as architecturally produced by a retained
-// micro-op (a prediction source), clearing its live-out obligation.
-func (t *RCT) Materialized(r isa.Reg) {
-	if t.tracked(r) && t.entries[r].valid {
-		t.entries[r].fromElim = false
-	}
-}
-
 // LiveOuts returns the registers whose values were produced by eliminated
 // micro-ops and therefore need rename-time inlining. The micro-architectural
 // temporary is excluded: it is dead outside its macro-op.

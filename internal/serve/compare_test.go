@@ -66,14 +66,13 @@ func TestCompareEndpoint(t *testing.T) {
 		t.Fatalf("repeated compare not byte-identical (code %d)", code)
 	}
 
-	// ...and identical to the harness-level entry point fed the same
-	// cache entries.
+	// ...and identical to explain.Explain fed the same cache entries.
 	bm := harness.LookupHash(cacheDir, sccJob.ConfigHash)
 	cm := harness.LookupHash(cacheDir, baseJob.ConfigHash)
 	if bm == nil || cm == nil {
 		t.Fatal("cache lookup missed a warm entry")
 	}
-	want, err := harness.ExplainManifests(bm, cm)
+	want, err := explain.Explain(bm, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestCompareEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, wantBuf.Bytes()) {
-		t.Fatalf("served explanation differs from harness.ExplainManifests:\n--- served\n%s\n--- local\n%s",
+		t.Fatalf("served explanation differs from explain.Explain:\n--- served\n%s\n--- local\n%s",
 			body, wantBuf.Bytes())
 	}
 

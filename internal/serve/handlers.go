@@ -325,7 +325,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	esp := tr.StartSpan("compare.explain", root.SpanID())
-	ex, err := harness.ExplainManifests(base, cur)
+	ex, err := explain.Explain(base, cur)
 	if err != nil {
 		esp.SetError(err.Error())
 		esp.End()

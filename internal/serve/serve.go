@@ -74,13 +74,6 @@ type Config struct {
 	// this many micro-ops (0 = DefaultMaxUopsCap) so one request cannot
 	// monopolize a worker indefinitely.
 	MaxUopsCap uint64
-	// SnapshotDir enables the warmup snapshot store for jobs that go
-	// through sweep estimators, sharing slots with sccbench/sccsim runs
-	// pointed at the same directory. Empty disables it.
-	SnapshotDir string
-	// SnapshotMaxBytes caps the snapshot store; least-recently-used slots
-	// are evicted past it (0 = unbounded).
-	SnapshotMaxBytes int64
 	// Logger receives the service's structured events (access log,
 	// admissions, 429s, job lifecycle). nil logs nowhere — but the flight
 	// recorder below still captures everything at Info and above, so
@@ -409,13 +402,11 @@ func (s *Server) runJob(j *job) {
 		// under the worker span. Cancellation is deliberately NOT carried:
 		// a detached simulation still finishes and warms the cache, as
 		// before tracing existed.
-		Ctx:              tracing.NewContext(context.WithoutCancel(ctx), j.tr, wspan),
-		MaxUops:          j.cfg.MaxUops,
-		Parallel:         1,
-		CacheDir:         s.cfg.CacheDir,
-		SnapshotDir:      s.cfg.SnapshotDir,
-		SnapshotMaxBytes: s.cfg.SnapshotMaxBytes,
-		SampleEvery:      j.sampleEvery,
+		Ctx:         tracing.NewContext(context.WithoutCancel(ctx), j.tr, wspan),
+		MaxUops:     j.cfg.MaxUops,
+		Parallel:    1,
+		CacheDir:    s.cfg.CacheDir,
+		SampleEvery: j.sampleEvery,
 		// The harness binds workload + config_hash onto its run events
 		// itself, so hand it the logger without the workload attr to
 		// keep correlated lines free of duplicate keys.

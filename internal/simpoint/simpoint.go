@@ -67,21 +67,53 @@ func (p *Profile) Intervals() []Interval {
 	return p.intervals
 }
 
-// distance is the L1 (Manhattan) distance between normalized BBVs.
-func distance(a, b Interval) float64 {
-	d := 0.0
-	an, bn := float64(a.Uops), float64(b.Uops)
-	if an == 0 || bn == 0 {
+// fingerprint is an interval's normalized BBV with its blocks in
+// ascending PC order. Select builds one per interval, so distance sums
+// the same terms in the same order on every call — summing in map order
+// would move the rounding, and with it the near-ties Select breaks,
+// from run to run.
+type fingerprint struct {
+	pcs  []uint64
+	frac []float64 // pcs[i]'s share of the interval's uops
+}
+
+func newFingerprint(iv Interval) fingerprint {
+	if iv.Uops == 0 {
+		return fingerprint{}
+	}
+	f := fingerprint{pcs: make([]uint64, 0, len(iv.Vec))}
+	for pc := range iv.Vec {
+		f.pcs = append(f.pcs, pc)
+	}
+	sort.Slice(f.pcs, func(i, j int) bool { return f.pcs[i] < f.pcs[j] })
+	f.frac = make([]float64, len(f.pcs))
+	for i, pc := range f.pcs {
+		f.frac[i] = float64(iv.Vec[pc]) / float64(iv.Uops)
+	}
+	return f
+}
+
+// distance is the L1 (Manhattan) distance between normalized BBVs,
+// summed over the union of both block sets in ascending PC order. An
+// interval without uops is at distance 1 from everything.
+func distance(a, b fingerprint) float64 {
+	if len(a.pcs) == 0 || len(b.pcs) == 0 {
 		return 1
 	}
-	seen := map[uint64]bool{}
-	for k, v := range a.Vec {
-		seen[k] = true
-		d += abs(float64(v)/an - float64(b.Vec[k])/bn)
-	}
-	for k, v := range b.Vec {
-		if !seen[k] {
-			d += float64(v) / bn
+	d := 0.0
+	i, j := 0, 0
+	for i < len(a.pcs) || j < len(b.pcs) {
+		switch {
+		case j == len(b.pcs) || (i < len(a.pcs) && a.pcs[i] < b.pcs[j]):
+			d += a.frac[i]
+			i++
+		case i == len(a.pcs) || b.pcs[j] < a.pcs[i]:
+			d += b.frac[j]
+			j++
+		default:
+			d += abs(a.frac[i] - b.frac[j])
+			i++
+			j++
 		}
 	}
 	return d
@@ -105,6 +137,10 @@ func Select(intervals []Interval, k int) []SimPoint {
 	if k > n {
 		k = n
 	}
+	fps := make([]fingerprint, n)
+	for i, iv := range intervals {
+		fps[i] = newFingerprint(iv)
+	}
 	// Farthest-point seeding, deterministic from interval 0.
 	medoids := []int{0}
 	for len(medoids) < k {
@@ -112,7 +148,7 @@ func Select(intervals []Interval, k int) []SimPoint {
 		for i := 0; i < n; i++ {
 			dMin := 1e18
 			for _, m := range medoids {
-				if d := distance(intervals[i], intervals[m]); d < dMin {
+				if d := distance(fps[i], fps[m]); d < dMin {
 					dMin = d
 				}
 			}
@@ -131,7 +167,7 @@ func Select(intervals []Interval, k int) []SimPoint {
 	for i := 0; i < n; i++ {
 		bi, bd := 0, 1e18
 		for mi, m := range medoids {
-			if d := distance(intervals[i], intervals[m]); d < bd {
+			if d := distance(fps[i], fps[m]); d < bd {
 				bd = d
 				bi = mi
 			}

@@ -31,9 +31,9 @@ func TestProfileSlicesIntervals(t *testing.T) {
 }
 
 func TestDistanceProperties(t *testing.T) {
-	a := mkInterval(0, map[uint64]uint64{1: 50, 2: 50})
-	b := mkInterval(1, map[uint64]uint64{1: 50, 2: 50})
-	c := mkInterval(2, map[uint64]uint64{3: 100})
+	a := newFingerprint(mkInterval(0, map[uint64]uint64{1: 50, 2: 50}))
+	b := newFingerprint(mkInterval(1, map[uint64]uint64{1: 50, 2: 50}))
+	c := newFingerprint(mkInterval(2, map[uint64]uint64{3: 100}))
 	if d := distance(a, b); d != 0 {
 		t.Errorf("identical distributions distance = %v", d)
 	}

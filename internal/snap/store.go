@@ -46,6 +46,18 @@ func NewStore(dir string, maxBytes int64) *Store {
 	return &Store{dir: dir, maxBytes: maxBytes}
 }
 
+// Stem is the <workload>-<hash12> stem every slot name starts with:
+// snapshot keys (Key) and the result cache's manifest names
+// (harness.CacheName) are both built on it. It returns "" when the
+// workload name cannot be a safe file stem or the hash is shorter than
+// 12 characters.
+func Stem(workload, hash string) string {
+	if strings.ContainsAny(workload, "/\\") || len(hash) < 12 {
+		return ""
+	}
+	return workload + "-" + hash[:12]
+}
+
 // Key builds the canonical slot key for a workload's warmup state at an
 // interval boundary. The warmup hash sub-addresses the configuration
 // (every knob except the work budget), so sweep configs that share it
@@ -53,13 +65,14 @@ func NewStore(dir string, maxBytes int64) *Store {
 // because the machine state at boundary b is the state after
 // b*intervalUops committed uops with a stop at every multiple of
 // intervalUops — runs sweeping different interval lengths (e.g.
-// budget-derived ones) must never share slots. Returns "" when the
-// workload name cannot be a safe file stem.
+// budget-derived ones) must never share slots. Returns "" when Stem
+// rejects its inputs.
 func Key(workload, warmupHash string, intervalUops uint64, boundary int) string {
-	if strings.ContainsAny(workload, "/\\") || len(warmupHash) < 12 {
+	stem := Stem(workload, warmupHash)
+	if stem == "" {
 		return ""
 	}
-	return fmt.Sprintf("%s-%s-i%d-b%d", workload, warmupHash[:12], intervalUops, boundary)
+	return fmt.Sprintf("%s-i%d-b%d", stem, intervalUops, boundary)
 }
 
 // path maps a slot file name into the store directory, or "" when the

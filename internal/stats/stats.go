@@ -116,12 +116,3 @@ func Ratio(a, b float64) float64 {
 
 // Pct formats a fraction as a percentage string.
 func Pct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
-
-// Speedup returns baseline/measured (execution-time speedup).
-func Speedup(baselineCycles, cycles uint64) float64 {
-	return Ratio(float64(baselineCycles), float64(cycles))
-}
-
-// Normalized returns measured/baseline (normalized metric, lower=better
-// for time/energy).
-func Normalized(value, baseline float64) float64 { return Ratio(value, baseline) }

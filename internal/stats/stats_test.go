@@ -117,14 +117,17 @@ func TestPercentileBounded(t *testing.T) {
 	}
 }
 
+// TestRatioAndSpeedup pins Ratio in the two roles the figures use it
+// for — a speedup (baseline/measured) and a normalized metric
+// (measured/baseline) — and its zero-denominator guard.
 func TestRatioAndSpeedup(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Error("division by zero must yield 0")
 	}
-	if got := Speedup(120, 100); got != 1.2 {
+	if got := Ratio(120, 100); got != 1.2 {
 		t.Errorf("speedup = %v", got)
 	}
-	if got := Normalized(90, 100); got != 0.9 {
+	if got := Ratio(90, 100); got != 0.9 {
 		t.Errorf("normalized = %v", got)
 	}
 }

@@ -35,8 +35,6 @@ type FlightEvent struct {
 // capacity overwrite the oldest. Seq is monotone, so a dump makes drops
 // visible (first event's Seq > 1 means older events were evicted).
 type Recorder struct {
-	min slog.Level
-
 	mu      sync.Mutex
 	buf     []FlightEvent
 	next    int    // ring write cursor
@@ -50,16 +48,15 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &Recorder{min: slog.LevelInfo, buf: make([]FlightEvent, 0, capacity)}
+	return &Recorder{buf: make([]FlightEvent, 0, capacity)}
 }
 
-// SetMinLevel adjusts the recording threshold (default Info). Call
-// before the recorder receives traffic.
-func (rec *Recorder) SetMinLevel(lv slog.Level) { rec.min = lv }
+// minLevel is the recording threshold: events below Info are not kept.
+const minLevel = slog.LevelInfo
 
 // Record appends one event directly (non-slog callers).
 func (rec *Recorder) Record(lv slog.Level, msg string, attrs ...slog.Attr) {
-	if lv < rec.min {
+	if lv < minLevel {
 		return
 	}
 	m := make(map[string]any, len(attrs))
@@ -150,7 +147,7 @@ func (rec *Recorder) WriteText(w io.Writer) {
 // slog.Handler implementation
 
 // Enabled implements slog.Handler.
-func (rec *Recorder) Enabled(_ context.Context, lv slog.Level) bool { return lv >= rec.min }
+func (rec *Recorder) Enabled(_ context.Context, lv slog.Level) bool { return lv >= minLevel }
 
 // Handle implements slog.Handler.
 func (rec *Recorder) Handle(ctx context.Context, r slog.Record) error {
@@ -175,7 +172,7 @@ type recHandler struct {
 	prefix string      // open group prefix ("a.b.")
 }
 
-func (h *recHandler) Enabled(_ context.Context, lv slog.Level) bool { return lv >= h.rec.min }
+func (h *recHandler) Enabled(_ context.Context, lv slog.Level) bool { return lv >= minLevel }
 
 func (h *recHandler) Handle(_ context.Context, r slog.Record) error {
 	m := make(map[string]any, len(h.attrs)+r.NumAttrs())

@@ -9,7 +9,7 @@
 // without import cycles. Like the SCC journal and the per-uop tracer,
 // the whole layer is a pure tap: instruments never feed back into the
 // simulation, so normalized run manifests are byte-identical with
-// telemetry enabled or disabled (pinned by TestTelemetryPureTap in the
+// telemetry enabled or disabled (pinned by TestPureTaps in the
 // harness).
 //
 // Three pieces:

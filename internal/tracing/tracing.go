@@ -9,7 +9,7 @@
 //
 //   - Pure tap. Instrumented and bare runs must produce byte-identical
 //     normalized manifests; spans only read clocks and copy attributes,
-//     never feed anything back (pinned by harness.TestTracingPureTap).
+//     never feed anything back (pinned by harness.TestPureTaps).
 //   - Nil-safe and cheap when off. Start on a context without a tracer
 //     returns a nil *Span whose methods are no-ops, so instrumentation
 //     points cost one context lookup on untraced paths.
@@ -175,10 +175,6 @@ func NewWithParent(id TraceID, remoteParent SpanID) *Tracer {
 
 // TraceID returns the trace's id.
 func (t *Tracer) TraceID() TraceID { return t.traceID }
-
-// RemoteParent returns the inbound traceparent span id (zero when the
-// trace was minted locally).
-func (t *Tracer) RemoteParent() SpanID { return t.remote }
 
 // nextSpanID derives a span id from the trace id and the per-trace
 // sequence number. Deterministic given the same trace id and span

@@ -23,10 +23,10 @@ func TestParseTraceparent(t *testing.T) {
 
 	bad := []string{
 		"",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",     // no flags
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01", // zero trace id
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // zero span id
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // forbidden version
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",          // no flags
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace id
+		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span id
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // forbidden version
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // v00 must be exact length
 		"0g-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // bad version hex
 		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",       // bad trace hex

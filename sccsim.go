@@ -114,13 +114,6 @@ func SCCConfig(level OptLevel) Config { return pipeline.IcelakeSCC(level) }
 // calling Run.
 func NewMachine(cfg Config, p *Program) (*Machine, error) { return pipeline.New(cfg, p) }
 
-// Prepare builds a machine for one built-in workload through the shared
-// setup path every CLI uses: it applies the Options work budget and seeds
-// the workload's memory initializer.
-func Prepare(cfg Config, w Workload, opts Options) (*Machine, error) {
-	return harness.Prepare(cfg, w, opts)
-}
-
 // Workloads returns the 19 built-in kernels (11 SPEC CPU 2017 stand-ins,
 // then 8 PARSEC 3.0 stand-ins).
 func Workloads() []Workload { return workloads.All() }
