@@ -4,8 +4,7 @@
 GO ?= go
 
 .PHONY: all build test check bench bench-json diff explain figures fig6 fig7 \
-        fig8 fig9 fig10 fig11 table1 overhead examples serve serve-smoke \
-        telemetry-race trace-race snapshot-race loadgen clean
+        fig8 fig9 fig10 fig11 table1 overhead examples serve clean
 
 all: build test
 
@@ -16,14 +15,15 @@ test:
 	$(GO) test ./...
 
 # Full verification: build, vet, the test suite under the race detector
-# (the sweep scheduler is concurrent), and the manifest round-trip smoke
-# test (bench-json encodes every manifest with built-in decode/re-encode
+# (the sweep scheduler, the snapshot fan-out and the service's worker
+# pool are concurrent; the internal/serve tests are where the service's
+# HTTP contract is pinned), and the manifest round-trip smoke test
+# (bench-json encodes every manifest with built-in decode/re-encode
 # verification).
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(MAKE) snapshot-race
 	$(MAKE) bench-json
 
 # Reduced-scale benchmark suite: one bench per table/figure + ablations.
@@ -33,13 +33,13 @@ bench:
 # Machine-readable benchmark artifact: a reduced-scale fig6+fig7 sweep
 # writes per-run JSON manifests (Manifest.Encode verifies each one
 # round-trips through encoding/json) and the aggregate index becomes
-# BENCH_pr14.json — the headline numbers a perf trajectory can diff.
+# BENCH_pr15.json — the headline numbers a perf trajectory can diff.
 # Committed BENCH_pr*.json baselines from earlier PRs are never rewritten.
 bench-json:
 	rm -rf manifests
 	$(GO) run ./cmd/sccbench -experiment fig6,fig7 \
 	    -workloads xalancbmk,mcf,lbm -max-uops 30000 -json manifests > /dev/null
-	cp manifests/index.json BENCH_pr14.json
+	cp manifests/index.json BENCH_pr15.json
 
 # Regression gate: regenerate the reduced-scale sweep and diff it against
 # the committed PR-2 baseline with direction-aware thresholds (sccdiff
@@ -74,47 +74,6 @@ fig6 fig7 fig8 fig9 fig10 fig11 table1 overhead:
 # Run the HTTP simulation service with a local result cache.
 serve:
 	$(GO) run ./cmd/sccserve -cache manifests
-
-# Service smoke gate: brings sccserve up on a random port, submits a
-# reduced-workload job twice (the repeat must be a cache hit with a
-# byte-identical manifest), checks /healthz, scrapes /metrics.prom twice
-# — the job counters must show the run and its cache hit — and validates
-# the Prometheus exposition (line syntax, TYPE/HELP coverage, counters
-# monotonic across the scrapes),
-# checks the /debug/flight ring, verifies the tracing contract
-# (traceparent echo, well-formed span tree, exemplar→trace link,
-# byte-stable normalized exports), and drains cleanly. Wired into CI
-# after make check.
-serve-smoke:
-	$(GO) run ./cmd/sccserve -smoke
-
-# Telemetry-focused race gate: the metrics registry, the serve tier's
-# instrument rings, and the stats helpers under the race detector
-# (make check runs -race repo-wide; this is the quick targeted slice).
-telemetry-race:
-	$(GO) test -race ./internal/telemetry ./internal/serve ./internal/stats
-
-# Tracing-focused race gate: the span subsystem plus the two tiers that
-# start spans concurrently (the serve worker pool and the harness sweep
-# scheduler) under the race detector.
-trace-race:
-	$(GO) test -race ./internal/tracing ./internal/harness ./internal/serve
-
-# Snapshot determinism gate: the checkpoint/restore byte-identity
-# contracts — restored machines continuing bit-exactly, the
-# snapshot-restored SimPoint estimator matching the serial detailed
-# estimator, and store self-healing — explicitly, under the race
-# detector (the fan-out is concurrent). make check runs -race repo-wide; this names the gate so a
-# snapshot regression fails with a pointed target.
-snapshot-race:
-	$(GO) test -race -run 'TestSnapshot' ./internal/pipeline ./internal/harness
-	$(GO) test -race ./internal/snap
-
-# Service-level determinism SLO: hammer an in-process sccserve with
-# concurrent mixed-config requests and assert every manifest is
-# byte-identical to a locally computed one.
-loadgen:
-	$(GO) run ./cmd/sccbench -experiment loadgen
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -45,18 +45,11 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		experiment = flag.String("experiment", "all",
-			"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint-snapshot | loadgen | all, or a comma-separated list (all excludes simpoint-snapshot and loadgen)")
+			"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint-snapshot | all, or a comma-separated list (all excludes simpoint-snapshot)")
 		maxUops  = flag.Uint64("max-uops", 0, "interval length override in micro-ops (0 = workload defaults)")
 		subset   = flag.String("workloads", "", "comma-separated workload subset (default: all 19)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"simulation runs in flight at once (1 = serial)")
-
-		serveURL = flag.String("serve-url", "",
-			"loadgen target sccserve base URL (default: spawn an in-process server)")
-		lgRequests = flag.Int("loadgen-requests", 200,
-			"total requests the loadgen experiment issues (repeats included)")
-		lgConcurrency = flag.Int("loadgen-concurrency", 16,
-			"concurrent in-flight loadgen requests")
 
 		snapshotDir = flag.String("snapshot-dir", "",
 			"warmup snapshot store directory for simpoint-snapshot: detailed warmup state persists here keyed by (workload, warmup hash, interval length, boundary) and later sweeps restore instead of re-warming")
@@ -257,9 +250,6 @@ func run() int {
 			}
 			f.Write(os.Stdout)
 			return nil, nil
-		},
-		"loadgen": func() (*sccsim.SweepSummary, error) {
-			return nil, runLoadgen(opts, *serveURL, *lgRequests, *lgConcurrency)
 		},
 		"ext": func() (*sccsim.SweepSummary, error) {
 			f, err := sccsim.Extension(opts)

@@ -5,7 +5,6 @@
 //
 //	sccserve -addr 127.0.0.1:8344 -cache manifests/
 //	sccserve -workers 8 -queue 128 -drain-timeout 30s
-//	sccserve -smoke            # self-contained end-to-end smoke run
 //
 // Endpoints (see README's Serving section for the full table):
 //
@@ -55,7 +54,6 @@ func run() int {
 			"how long SIGINT/SIGTERM waits for in-flight jobs before aborting them")
 		addrFile = flag.String("addr-file", "",
 			"write the bound listen address to this file once serving (for scripts using port 0)")
-		smoke      = flag.Bool("smoke", false, "run the self-contained service smoke sequence and exit")
 		version    = flag.Bool("version", false, "print the simulator version and exit")
 		debugPprof = flag.Bool("debug-pprof", false,
 			"expose net/http/pprof profiling handlers under /debug/pprof/ (off by default; enables live CPU/heap/goroutine profiling)")
@@ -88,10 +86,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sccserve: %v\n", err)
 		return 2
 	}
-	if *smoke {
-		return runSmoke(*workers, *queue)
-	}
-
 	srv := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,

@@ -102,7 +102,7 @@ func (l *LSD) encodeSnapshot(w *snap.Writer) {
 }
 
 func (l *LSD) restoreSnapshot(r *snap.Reader) {
-	n := r.Len(-1)
+	n := r.Count(8 + 4 + 4 + 1 + 8) // pc, streak, lastTrip, stable, totalSeen
 	l.entries = make(map[uint64]*lsdEntry, n)
 	for i := 0; i < n; i++ {
 		pc := r.U64()
@@ -143,7 +143,7 @@ func (it *ITTAGE) encodeSnapshot(w *snap.Writer) {
 }
 
 func (it *ITTAGE) restoreSnapshot(r *snap.Reader) {
-	n := r.Len(-1)
+	n := r.Count(2 * 8) // pc, target
 	it.base = make(map[uint64]uint64, n)
 	for i := 0; i < n; i++ {
 		pc := r.U64()

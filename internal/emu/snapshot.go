@@ -48,7 +48,7 @@ func (m *Machine) RestoreSnapshot(r *snap.Reader) error {
 	m.MacroCount = r.U64()
 	seq := r.Int()
 
-	n := r.Len(-1)
+	n := r.Count(8 + pageSize) // page number + page bytes
 	pages := make(map[uint64]*[pageSize]byte, n)
 	for i := 0; i < n; i++ {
 		pn := r.U64()

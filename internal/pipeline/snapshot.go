@@ -109,18 +109,18 @@ func NewMachineFromSnapshot(cfg Config, prog *asm.Program, data []byte) (*Machin
 	m.redirectIsSquash = r.Bool()
 	m.resumeFetchAt = r.U64()
 	r.Block(&m.Stats)
-	if n := r.Len(-1); n > 0 {
+	if n := r.Count(8); n > 0 {
 		m.forceUnopt = make([]uint64, n)
 		for i := range m.forceUnopt {
 			m.forceUnopt[i] = r.U64()
 		}
 	}
-	lockedPCs := make([]uint64, r.Len(-1))
+	lockedPCs := make([]uint64, r.Count(8))
 	for i := range lockedPCs {
 		lockedPCs[i] = r.U64()
 	}
 
-	for n, i := r.Len(-1), 0; i < n; i++ {
+	for n, i := r.Count(3*8), 0; i < n; i++ { // pc, reqAt, squashes
 		pc := r.U64()
 		m.regions.put(pc, regionState{reqAt: r.U64(), squashes: r.U64()})
 	}
@@ -129,7 +129,7 @@ func NewMachineFromSnapshot(cfg Config, prog *asm.Program, data []byte) (*Machin
 		m.be.regReady[i] = r.U64()
 	}
 	m.be.lastIssue = r.U64()
-	for n, i := r.Len(-1), 0; i < n; i++ {
+	for n, i := r.Count(2*8), 0; i < n; i++ { // addr, ready cycle
 		addr := r.U64()
 		m.be.storeReady.put(addr, r.U64())
 	}

@@ -29,7 +29,7 @@ func (u *Unit) EncodeSnapshot(w *snap.Writer) {
 // snapshot, rebuilding the duplicate-suppression set from the queue.
 func (u *Unit) RestoreSnapshot(r *snap.Reader) {
 	r.Block(&u.Stats)
-	n := r.Len(-1)
+	n := r.Count(8)
 	u.queue = make([]uint64, n)
 	u.inQueue = make(map[uint64]bool, n)
 	for i := 0; i < n; i++ {

@@ -56,8 +56,8 @@ func TestCompareEndpoint(t *testing.T) {
 	if ex.Workload != "xalancbmk" || ex.BaseHash != sccJob.ConfigHash || ex.CurHash != baseJob.ConfigHash {
 		t.Fatalf("explanation identity wrong: %s/%s/%s", ex.Workload, ex.BaseHash, ex.CurHash)
 	}
-	if ex.CPIStack == nil || len(ex.CPIStack.Slots) != 9 {
-		t.Fatalf("explanation carries no CPI stack delta: %+v", ex.CPIStack)
+	if ex.CPIStack == nil || len(ex.CPIStack.Slots) != 9 || ex.CPIStack.Dominant == "" {
+		t.Fatalf("explanation carries no nine-slot CPI stack delta with a dominant slot: %+v", ex.CPIStack)
 	}
 
 	// The same pair must return byte-identical JSON on a repeat — the

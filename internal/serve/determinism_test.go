@@ -1,24 +1,30 @@
 package serve
 
-// End-to-end service determinism (acceptance criterion): a manifest
-// fetched from the HTTP service — cold, and warm from the result cache —
-// is byte-identical after Normalize to one produced by harness.RunOne
-// with the same (workload, configuration). The concurrent-load variant
-// of the same assertion lives in sccbench -experiment loadgen.
+// End-to-end service determinism: a manifest fetched from the HTTP
+// service — cold, warm from the result cache, and under concurrent
+// mixed-config load with 429 backpressure — is byte-identical after
+// Normalize to one produced by harness.RunOne with the same (workload,
+// configuration).
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"sccsim/internal/harness"
 	"sccsim/internal/obs"
 	"sccsim/internal/pipeline"
 	"sccsim/internal/scc"
+	"sccsim/internal/telemetry"
 	"sccsim/internal/workloads"
 )
 
@@ -137,18 +143,143 @@ func TestServiceManifestMatchesLocalRun(t *testing.T) {
 		t.Error("cache-probe manifest differs from local manifest")
 	}
 
-	// Metrics reflect one miss + one hit.
+	// Metrics reflect one miss + one hit, and both end-to-end latencies.
 	m := &srv.met
 	if c, h, mi := m.completed.Value(), m.cacheHits.Value(), m.cacheMisses.Value(); c != 2 || h != 1 || mi != 1 {
 		t.Errorf("metrics completed=%d hits=%d misses=%d, want 2/1/1", c, h, mi)
 	}
-	p50, ok50 := m.latencyPercentile(50)
-	p99, ok99 := m.latencyPercentile(99)
-	if !ok50 || !ok99 {
-		t.Fatal("latency percentiles absent after completed jobs")
+	if n := m.latency.Count(); n != 2 {
+		t.Errorf("sccserve_job_latency_seconds count = %d, want 2", n)
 	}
-	if p99 < p50 {
-		t.Errorf("latency percentiles inverted: p50 %.3f > p99 %.3f", p50, p99)
+
+	// The flight recorder captured both jobs' admission and completion.
+	code, raw := get(t, ts.URL+"/debug/flight")
+	if code != http.StatusOK {
+		t.Fatalf("flight fetch status %d", code)
+	}
+	var dump telemetry.FlightDump
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatalf("flight dump: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, ev := range dump.Events {
+		seen[ev.Msg] = true
+	}
+	for _, want := range []string{"job submitted", "job done"} {
+		if !seen[want] {
+			t.Errorf("flight ring (%d events) has no %q event", dump.Total, want)
+		}
+	}
+}
+
+// TestServiceManifestsMatchLocalRunsUnderLoad posts three workloads ×
+// {baseline, full SCC} as raw configs from many goroutines against one
+// worker and a two-slot queue. Repeats contend for the queue and the
+// cache, rejected submissions are retried after their Retry-After, and
+// every manifest must equal the harness.RunOne oracle byte for byte.
+func TestServiceManifestsMatchLocalRunsUnderLoad(t *testing.T) {
+	const maxUops, goroutines, perGoroutine = 10_000, 8, 3
+	type pair struct {
+		body string
+		want []byte
+	}
+	var pairs []pair
+	for _, name := range []string{"xalancbmk", "mcf", "lbm"} {
+		wl, _ := workloads.ByName(name)
+		for _, cfg := range []pipeline.Config{pipeline.Icelake(), pipeline.IcelakeSCC(scc.LevelFull)} {
+			cfgJSON, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = append(pairs, pair{
+				body: fmt.Sprintf(`{"workload":%q,"config":%s,"max_uops":%d,"wait":true}`, name, cfgJSON, maxUops),
+				want: localManifest(t, cfg, wl, harness.Options{MaxUops: maxUops}),
+			})
+		}
+	}
+
+	srv := New(Config{Workers: 1, QueueDepth: 2, CacheDir: t.TempDir()})
+	defer srv.Close()
+	// The worker holds its first job until some submission has been
+	// rejected, so the 429 → Retry-After → resubmit path runs every time.
+	overflowed := make(chan struct{})
+	var overflow sync.Once
+	srv.SetRunFunc(func(ctx context.Context, w workloads.Workload, cfg pipeline.Config, opts harness.Options) (*harness.RunResult, error) {
+		select {
+		case <-overflowed:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return defaultRun(ctx, w, cfg, opts)
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	submit := func(body string) (*JobStatus, error) {
+		for attempt := 0; attempt < 30; attempt++ {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				return nil, err
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return nil, err
+			}
+			switch resp.StatusCode {
+			case http.StatusOK:
+				var st JobStatus
+				return &st, json.Unmarshal(raw, &st)
+			case http.StatusTooManyRequests:
+				overflow.Do(func() { close(overflowed) })
+				ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+				if err != nil || ra < 1 {
+					return nil, fmt.Errorf("429 with Retry-After %q", resp.Header.Get("Retry-After"))
+				}
+				time.Sleep(time.Duration(ra) * time.Second)
+			default:
+				return nil, fmt.Errorf("POST /v1/jobs = %d: %s", resp.StatusCode, raw)
+			}
+		}
+		return nil, fmt.Errorf("still rejected after 30 attempts")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perGoroutine; k++ {
+				i := (g + k) % len(pairs)
+				st, err := submit(pairs[i].body)
+				if err != nil {
+					t.Errorf("pair %d: %v", i, err)
+					continue
+				}
+				if st.State != string(StateDone) {
+					t.Errorf("pair %d: job %s finished %s (error %q)", i, st.ID, st.State, st.Error)
+					continue
+				}
+				var man obs.Manifest
+				if err := json.Unmarshal(st.Manifest, &man); err != nil {
+					t.Errorf("pair %d: manifest: %v", i, err)
+					continue
+				}
+				var buf bytes.Buffer
+				if err := man.Normalize().Encode(&buf); err != nil {
+					t.Errorf("pair %d: encode: %v", i, err)
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), pairs[i].want) {
+					t.Errorf("pair %d: served manifest differs from the local oracle (%d vs %d bytes)",
+						i, buf.Len(), len(pairs[i].want))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if srv.met.rejected.Value() == 0 {
+		t.Error("no submission was rejected; the retry path did not run")
 	}
 }
 

@@ -71,6 +71,10 @@ type job struct {
 	requestID   string // admission correlation ID (access log ↔ job events)
 	submitted   time.Time
 
+	// retire is the server's retention hook (Server.retire), run once
+	// on the terminal transition.
+	retire func(*job)
+
 	// tr/root are the job's trace: the root "request" span opens at
 	// admission and ends with the terminal state; queueSpan covers the
 	// bounded-queue wait (started at enqueue, ended at worker pickup).
@@ -153,8 +157,8 @@ func (j *job) cancelRequested() bool {
 }
 
 // finish moves the job to a terminal state exactly once, appending the
-// final done event and releasing waiters. Returns false if the job was
-// already terminal.
+// final done event, releasing waiters and handing the record to the
+// server's retention. Returns false if the job was already terminal.
 func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
@@ -180,6 +184,7 @@ func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte
 		Error:      errMsg,
 	})
 	close(j.done)
+	j.retire(j)
 	return true
 }
 

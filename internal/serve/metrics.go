@@ -8,18 +8,18 @@ import (
 	"sccsim/internal/telemetry"
 )
 
-// latencyWindow bounds the sliding samples the percentile metrics are
-// computed over; old samples are overwritten ring-style.
-const latencyWindow = 1024
+// runWindow bounds the run-phase samples the Retry-After estimate
+// averages over; old samples are overwritten ring-style.
+const runWindow = 1024
 
 // metrics is the service's instrument set, backed by a per-server
 // telemetry.Registry so tests can run many servers without name
 // collisions. The registry renders the /metrics.prom Prometheus
-// exposition. Latency percentiles come from a bounded ring of
-// end-to-end (submit → done) times; Retry-After estimates come from a
-// separate ring of run-phase times, so near-zero cache hits cannot skew
-// the queue-drain estimate. The same observations also feed fixed-bucket
-// histograms for the exposition side.
+// exposition. End-to-end (submit → done) latency goes to a fixed-bucket
+// histogram whose buckets carry trace-id exemplars; percentiles are a
+// histogram_quantile query away. Retry-After estimates come from a
+// bounded ring of run-phase times, so near-zero cache hits cannot skew
+// the queue-drain estimate.
 type metrics struct {
 	reg   *telemetry.Registry
 	start time.Time
@@ -39,8 +39,6 @@ type metrics struct {
 	runWall     *telemetry.Histogram // run-phase wall, seconds
 
 	mu      sync.Mutex
-	latMS   []float64 // end-to-end latency ring, milliseconds
-	latIdx  int
 	runSecs []float64 // run-phase wall ring, seconds
 	runIdx  int
 }
@@ -87,26 +85,6 @@ func (s *Server) initMetrics() {
 		}
 		return 0, true
 	})
-	// Percentile gauges are suppressed (no series emitted) until a first
-	// sample exists — an empty window has no percentiles, and 0 would read
-	// as "impossibly fast", not "no data".
-	r.GaugeFunc("sccserve_job_latency_p50_milliseconds", "Median end-to-end latency over the sliding window.", func() (float64, bool) {
-		p, ok := m.latencyPercentile(50)
-		return p, ok
-	})
-	r.GaugeFunc("sccserve_job_latency_p99_milliseconds", "p99 end-to-end latency over the sliding window.", func() (float64, bool) {
-		p, ok := m.latencyPercentile(99)
-		return p, ok
-	})
-}
-
-func ringPush(buf *[]float64, idx *int, v float64) {
-	if len(*buf) < latencyWindow {
-		*buf = append(*buf, v)
-		return
-	}
-	(*buf)[*idx] = v
-	*idx = (*idx + 1) % latencyWindow
 }
 
 // observeLatency records one end-to-end latency with the job's trace id
@@ -115,27 +93,18 @@ func ringPush(buf *[]float64, idx *int, v float64) {
 // JobStatus document maps trace ids back to jobs).
 func (m *metrics) observeLatency(d time.Duration, traceID string) {
 	m.latency.ObserveExemplar(d.Seconds(), traceID)
-	m.mu.Lock()
-	ringPush(&m.latMS, &m.latIdx, d.Seconds()*1e3)
-	m.mu.Unlock()
 }
 
 func (m *metrics) observeRun(d time.Duration) {
 	m.runWall.Observe(d.Seconds())
 	m.mu.Lock()
-	ringPush(&m.runSecs, &m.runIdx, d.Seconds())
-	m.mu.Unlock()
-}
-
-// latencyPercentile returns the p-th percentile of the sliding window;
-// ok is false while the window is empty (no samples → no percentile).
-func (m *metrics) latencyPercentile(p float64) (v float64, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.latMS) == 0 {
-		return 0, false
+	if len(m.runSecs) < runWindow {
+		m.runSecs = append(m.runSecs, d.Seconds())
+	} else {
+		m.runSecs[m.runIdx] = d.Seconds()
+		m.runIdx = (m.runIdx + 1) % runWindow
 	}
-	return stats.Percentile(m.latMS, p), true
+	m.mu.Unlock()
 }
 
 func (m *metrics) meanRunSeconds() float64 {

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -16,50 +19,6 @@ func newTestServer(t *testing.T) *Server {
 	return s
 }
 
-// TestLatencyRingWraparound drives the sliding window past latencyWindow
-// and checks that it stays bounded and evicts oldest-first: after the
-// wrap, only the most recent latencyWindow samples shape the
-// percentiles.
-func TestLatencyRingWraparound(t *testing.T) {
-	s := newTestServer(t)
-	m := &s.met
-	total := latencyWindow + 100
-	for i := 0; i < total; i++ {
-		// Strictly increasing latencies: sample i is (i+1) ms.
-		m.observeLatency(time.Duration(i+1)*time.Millisecond, "")
-	}
-	m.mu.Lock()
-	n := len(m.latMS)
-	var minMS, maxMS = m.latMS[0], m.latMS[0]
-	for _, v := range m.latMS {
-		if v < minMS {
-			minMS = v
-		}
-		if v > maxMS {
-			maxMS = v
-		}
-	}
-	m.mu.Unlock()
-	if n != latencyWindow {
-		t.Fatalf("ring length = %d, want bounded at %d", n, latencyWindow)
-	}
-	// The first 100 samples (1..100 ms) must have been evicted in order;
-	// the window holds exactly samples 101..total.
-	if wantMin := float64(total - latencyWindow + 1); minMS != wantMin {
-		t.Errorf("oldest surviving sample = %vms, want %vms (oldest-first eviction)", minMS, wantMin)
-	}
-	if maxMS != float64(total) {
-		t.Errorf("newest sample = %vms, want %vms", maxMS, float64(total))
-	}
-	// The histogram keeps the full count — it never evicts.
-	if c := m.latency.Count(); c != int64(total) {
-		t.Errorf("histogram count = %d, want %d", c, total)
-	}
-	if p0, ok := m.latencyPercentile(0); !ok || p0 != float64(total-latencyWindow+1) {
-		t.Errorf("p0 = %v (ok=%v), want window minimum", p0, ok)
-	}
-}
-
 // TestRunRingWraparound covers the run-phase ring the Retry-After
 // estimate reads: bounded, and the mean reflects only recent samples.
 func TestRunRingWraparound(t *testing.T) {
@@ -67,10 +26,10 @@ func TestRunRingWraparound(t *testing.T) {
 	m := &s.met
 	// Fill the window with 10s samples, then overwrite it entirely with
 	// 1s samples: the mean must forget the old regime.
-	for i := 0; i < latencyWindow; i++ {
+	for i := 0; i < runWindow; i++ {
 		m.observeRun(10 * time.Second)
 	}
-	for i := 0; i < latencyWindow; i++ {
+	for i := 0; i < runWindow; i++ {
 		m.observeRun(1 * time.Second)
 	}
 	if mean := m.meanRunSeconds(); mean != 1 {
@@ -79,13 +38,15 @@ func TestRunRingWraparound(t *testing.T) {
 	m.mu.Lock()
 	n := len(m.runSecs)
 	m.mu.Unlock()
-	if n != latencyWindow {
-		t.Errorf("run ring length = %d, want %d", n, latencyWindow)
+	if n != runWindow {
+		t.Errorf("run ring length = %d, want %d", n, runWindow)
 	}
 }
 
-// TestObserveLatencyConcurrent hammers the ring from many goroutines —
-// meaningful under -race (make check runs the suite with it).
+// TestObserveLatencyConcurrent hammers the latency histogram from many
+// goroutines while they also scrape the registry — meaningful under
+// -race (make check runs the suite with it). The histogram keeps every
+// observation: it never evicts.
 func TestObserveLatencyConcurrent(t *testing.T) {
 	s := newTestServer(t)
 	m := &s.met
@@ -98,7 +59,7 @@ func TestObserveLatencyConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				m.observeLatency(time.Duration(g*per+i)*time.Microsecond, "")
 				if i%16 == 0 {
-					m.latencyPercentile(99) // concurrent reader
+					telemetry.WritePrometheus(io.Discard, m.reg) // concurrent reader
 				}
 			}
 		}(g)
@@ -107,48 +68,94 @@ func TestObserveLatencyConcurrent(t *testing.T) {
 	if c := m.latency.Count(); c != goroutines*per {
 		t.Errorf("histogram count = %d, want %d", c, goroutines*per)
 	}
-	m.mu.Lock()
-	n := len(m.latMS)
-	m.mu.Unlock()
-	if n != latencyWindow {
-		t.Errorf("ring length = %d, want %d", n, latencyWindow)
-	}
 }
 
-// TestMetricsPercentilesSuppressedWhenEmpty pins satellite behaviour: a
-// server with no completed jobs omits the latency percentile series
-// from the Prometheus exposition instead of reporting a misleading 0.
-func TestMetricsPercentilesSuppressedWhenEmpty(t *testing.T) {
-	s := newTestServer(t)
+// TestMetricsExposition pins the /metrics.prom contract a scraper relies
+// on: the Prometheus content type, a document ParseExposition accepts,
+// a series for every job counter, pool gauge and process-wide
+// instrument, and counters that never decrease across two scrapes with
+// a job between them.
+func TestMetricsExposition(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4, CacheDir: t.TempDir()})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 	scrape := func() *telemetry.Exposition {
 		t.Helper()
-		var prom strings.Builder
-		if err := telemetry.WritePrometheus(&prom, s.met.reg); err != nil {
-			t.Fatal(err)
-		}
-		exp, err := telemetry.ParseExposition([]byte(prom.String()))
+		resp, err := http.Get(ts.URL + "/metrics.prom")
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("scrape status %d: %s", resp.StatusCode, raw)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != telemetry.PrometheusContentType {
+			t.Errorf("content type %q, want %q", ct, telemetry.PrometheusContentType)
+		}
+		exp, err := telemetry.ParseExposition(raw)
+		if err != nil {
+			t.Fatalf("exposition does not validate: %v", err)
+		}
 		return exp
 	}
-	exp := scrape()
-	for _, name := range []string{"sccserve_job_latency_p50_milliseconds", "sccserve_job_latency_p99_milliseconds"} {
-		if _, ok := exp.Samples[name]; ok {
-			t.Errorf("suppressed percentile gauge %s appears in the exposition", name)
+	submit := func() {
+		t.Helper()
+		st, code := postJob(t, ts, `{"workload":"mcf","max_uops":5000,"wait":true}`)
+		if code != http.StatusOK || st.State != string(StateDone) {
+			t.Fatalf("submit: code %d state %+v", code, st)
 		}
 	}
 
-	// One sample flips both on.
-	s.met.observeLatency(5*time.Millisecond, "")
-	exp = scrape()
-	if v, ok := exp.Samples["sccserve_job_latency_p50_milliseconds"]; !ok || v != 5 {
-		t.Errorf("p50 after one 5ms sample = %v (present %v), want 5", v, ok)
+	submit()
+	first := scrape()
+	for _, name := range []string{
+		"sccserve_jobs_submitted_total", "sccserve_jobs_completed_total",
+		"sccserve_jobs_failed_total", "sccserve_jobs_canceled_total",
+		"sccserve_jobs_rejected_total", "sccserve_cache_hits_total",
+		"sccserve_cache_misses_total", "sccserve_http_requests_total",
+		"sccserve_jobs_in_flight", "sccserve_queue_depth",
+		"sccserve_queue_capacity", "sccserve_workers",
+		"sccserve_uptime_seconds", "sccserve_draining",
+		"sccserve_job_latency_seconds_count", "sccserve_run_wall_seconds_count",
+		"sccserve_compare_total", "telemetry_flight_dropped_total",
+		"runner_jobs_completed_total", "process_uptime_seconds",
+		"snapshot_hits_total", "snapshot_misses_total",
+		"snapshot_bytes_written_total", "snapshot_evictions_total",
+	} {
+		if _, ok := first.Samples[name]; !ok {
+			t.Errorf("series %s missing from the exposition", name)
+		}
 	}
-	if _, ok := exp.Samples["sccserve_job_latency_p99_milliseconds"]; !ok {
-		t.Error("p99 gauge missing from the exposition after a sample")
-	}
-	if up := exp.Samples["sccserve_uptime_seconds"]; up <= 0 {
+	if up := first.Samples["sccserve_uptime_seconds"]; up <= 0 {
 		t.Errorf("sccserve_uptime_seconds = %v, want > 0", up)
+	}
+
+	submit() // a cache hit between the scrapes
+	second := scrape()
+	for series, v1 := range first.Samples {
+		if !strings.HasSuffix(series, "_total") && !strings.Contains(series, "_count") {
+			continue
+		}
+		v2, ok := second.Samples[series]
+		if !ok {
+			t.Errorf("counter %s vanished between scrapes", series)
+		} else if v2 < v1 {
+			t.Errorf("counter %s went backwards: %v -> %v", series, v1, v2)
+		}
+	}
+	if second.Samples["sccserve_http_requests_total"] <= first.Samples["sccserve_http_requests_total"] {
+		t.Error("sccserve_http_requests_total did not advance across scrapes")
+	}
+	// The job counters show the cold run and its cache hit.
+	for name, want := range map[string]float64{
+		"sccserve_jobs_completed_total": 2,
+		"sccserve_cache_hits_total":     1,
+		"sccserve_cache_misses_total":   1,
+	} {
+		if got := second.Samples[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }

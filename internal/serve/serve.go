@@ -9,8 +9,9 @@
 // are internal/obs manifests, admission is validated against
 // internal/workloads — so a manifest fetched from the service is
 // byte-identical (after Normalize) to one produced by harness.RunOne
-// with the same inputs. That invariant is the service-level SLO the
-// sccbench loadgen experiment asserts under concurrent load.
+// with the same inputs. This package's tests pin that invariant, cold,
+// cached and under concurrent mixed-config load, along with the rest of
+// the HTTP contract.
 //
 // Scale and overload behaviour:
 //
@@ -27,6 +28,8 @@
 //     the cache).
 //   - Drain stops admissions (503) while in-flight and queued jobs run
 //     to completion, bounded by the caller's context.
+//   - At most maxFinishedJobs terminal job records are kept; the
+//     oldest-finished is evicted first and its id answers 404.
 package serve
 
 import (
@@ -53,6 +56,11 @@ const (
 	DefaultQueueDepth = 64
 	DefaultMaxUopsCap = 5_000_000
 )
+
+// maxFinishedJobs bounds the terminal job records a server keeps: past
+// it the oldest-finished record is evicted, and its id answers 404 on
+// every /v1/jobs/{id} route. Queued and running jobs are never evicted.
+const maxFinishedJobs = 1024
 
 // stallThreshold is how long a dequeued job may have waited for a worker
 // before the pickup is logged as a pool stall (queue backlog exceeds the
@@ -108,9 +116,10 @@ type Server struct {
 
 	draining atomic.Bool
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	seq  uint64
+	mu       sync.Mutex
+	jobs     map[string]*job
+	finished []string // ids of the terminal jobs in jobs, oldest-finished first
+	seq      uint64
 
 	met metrics
 
@@ -325,6 +334,7 @@ func (s *Server) newJob(wl workloads.Workload, cfg pipeline.Config, hash string,
 		requestID:   requestID,
 		tr:          tr,
 		root:        root,
+		retire:      s.retire,
 		submitted:   time.Now(),
 		state:       StateQueued,
 		update:      make(chan struct{}),
@@ -334,6 +344,18 @@ func (s *Server) newJob(wl workloads.Workload, cfg pipeline.Config, hash string,
 	s.mu.Unlock()
 	j.append(eventState, stateEvent{State: string(StateQueued)})
 	return j
+}
+
+// retire records a job's terminal transition and evicts the
+// oldest-finished record once more than maxFinishedJobs are kept.
+func (s *Server) retire(j *job) {
+	s.mu.Lock()
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
 }
 
 func (s *Server) lookup(id string) *job {

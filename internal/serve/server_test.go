@@ -1,10 +1,10 @@
 package serve
 
-// Backpressure, cancellation, SSE termination, drain, and validation
-// coverage. These tests replace the executor (SetRunFunc) with slow or
-// context-aware synthetic workloads so overload and disconnect timing
-// is deterministic; the real-simulation path is covered by
-// determinism_test.go and the sccbench loadgen experiment.
+// Backpressure, cancellation, SSE termination, drain, job retention and
+// validation coverage. Most of these tests replace the executor
+// (SetRunFunc) with slow or context-aware synthetic workloads so
+// overload and disconnect timing is deterministic; the real-simulation
+// path is covered by determinism_test.go.
 
 import (
 	"bufio"
@@ -302,6 +302,9 @@ func TestDrainRefusesNewAndFinishesInFlight(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz before drain = %d, want 200", code)
+	}
 	st, _ := postJob(t, ts, `{"workload":"xalancbmk"}`)
 	<-started
 
@@ -358,6 +361,58 @@ func TestDrainDeadlineAbortsInFlight(t *testing.T) {
 		t.Fatal("drain of a wedged job must report the deadline error")
 	}
 	waitState(t, ts, st.ID, StateCanceled)
+}
+
+// TestFinishedJobsEvictedOldestFirst pins the bound on job records: a
+// server keeps at most maxFinishedJobs terminal jobs, the newest stays
+// fully served, and an evicted id answers 404 on every job route.
+func TestFinishedJobsEvictedOldestFirst(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4, CacheDir: t.TempDir()})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// One cold run fills the cache; every later submission is a hit.
+	const body = `{"workload":"mcf","max_uops":5000,"wait":true}`
+	var first, last *JobStatus
+	for i := 0; i < maxFinishedJobs+8; i++ {
+		st, code := postJob(t, ts, body)
+		if code != http.StatusOK || st.State != string(StateDone) {
+			t.Fatalf("submit %d: code %d state %+v", i, code, st)
+		}
+		if i == 0 {
+			first = st
+		}
+		last = st
+	}
+	if !last.FromCache {
+		t.Fatal("repeat submission was not a cache hit")
+	}
+	srv.mu.Lock()
+	n := len(srv.jobs)
+	srv.mu.Unlock()
+	if n > maxFinishedJobs {
+		t.Errorf("server keeps %d job records, want at most %d", n, maxFinishedJobs)
+	}
+	for _, route := range []string{"", "/manifest", "/trace"} {
+		if code, raw := get(t, ts.URL+"/v1/jobs/"+last.ID+route); code != http.StatusOK {
+			t.Errorf("newest job GET %s = %d (%s), want 200", route, code, raw)
+		}
+	}
+	for _, route := range []string{"", "/manifest", "/trace", "/events"} {
+		if code, _ := get(t, ts.URL+"/v1/jobs/"+first.ID+route); code != http.StatusNotFound {
+			t.Errorf("evicted job GET %s = %d, want 404", route, code)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+first.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("evicted job DELETE = %d, want 404", resp.StatusCode)
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {

@@ -30,9 +30,9 @@ func admitTrace(w http.ResponseWriter, r *http.Request) (*tracing.Tracer, *traci
 // OTLP-compatible JSON. The default document carries real wall-clock
 // timestamps (tail-latency attribution); ?normalize=1 returns the
 // canonicalized form — span ids re-minted in tree order, timestamps
-// zeroed — which is byte-stable across identical runs (the smoke gate's
-// determinism check). A non-terminal job returns 409: its trace is still
-// growing.
+// zeroed — which is byte-stable across identical runs
+// (TestTraceNormalizedByteStable). A non-terminal job returns 409: its
+// trace is still growing. An evicted or unknown job returns 404.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {

@@ -132,9 +132,22 @@ func TestTraceparentEchoedAndSpanTreeWellFormed(t *testing.T) {
 	if len(otlpSpans) != len(spans) {
 		t.Errorf("trace endpoint has %d spans, tracer has %d", len(otlpSpans), len(spans))
 	}
+	// Same ids and parent links as the validated tree: the served
+	// document is that tree.
+	parentOf := map[string]string{}
+	for _, sp := range spans {
+		p := ""
+		if !sp.ParentID.IsZero() {
+			p = sp.ParentID.String()
+		}
+		parentOf[sp.SpanID.String()] = p
+	}
 	for _, sp := range otlpSpans {
 		if sp.TraceID != st.TraceID {
 			t.Errorf("span %s has trace id %s, want %s", sp.Name, sp.TraceID, st.TraceID)
+		}
+		if want, ok := parentOf[sp.SpanID]; !ok || sp.ParentID != want {
+			t.Errorf("served span %s (%s) has parent %q, tracer has %q (known %v)", sp.Name, sp.SpanID, sp.ParentID, want, ok)
 		}
 	}
 }

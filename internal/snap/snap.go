@@ -138,9 +138,9 @@ func (w *Writer) Block(v any) {
 }
 
 // ErrMalformed is wrapped by every payload error a Reader reports on
-// its own — an underrun or a length prefix the payload cannot hold —
-// so callers can tell hostile or truncated bytes from decoder-level
-// mismatches (Errorf).
+// its own — an underrun, a length prefix other than the decoder
+// expects, or a count the payload cannot hold — so callers can tell
+// hostile or truncated bytes from decoder-level mismatches (Errorf).
 var ErrMalformed = errors.New("snap: malformed snapshot payload")
 
 // Reader decodes a snapshot produced by Writer. Errors are sticky: the
@@ -262,25 +262,30 @@ func (r *Reader) String() string {
 // Raw reads n verbatim bytes (the counterpart of Writer.Raw).
 func (r *Reader) Raw(n int) []byte { return r.take(n) }
 
-// Len reads a u32 length prefix. With want >= 0 it must equal the
-// decoder's expected element count. With want = -1 any length the rest
-// of the payload could hold is accepted: every element takes at least
-// one byte, so a crafted prefix cannot make the caller allocate more
-// than the input justifies. Either violation poisons the reader, and a
-// poisoned reader returns 0.
-func (r *Reader) Len(want int) int {
-	n := int(r.U32())
-	switch {
-	case r.err != nil:
-		return 0
-	case want >= 0 && n != want:
+// Len reads a u32 length prefix that must equal want, the decoder's
+// expected element count; a mismatch poisons the reader.
+func (r *Reader) Len(want int) {
+	if n := int(r.U32()); r.err == nil && n != want {
 		r.err = fmt.Errorf("%w: length %d, decoder expects %d", ErrMalformed, n, want)
-		return 0
-	case want < 0 && n > len(r.buf)-r.off:
-		r.err = fmt.Errorf("%w: length %d exceeds the %d payload bytes left", ErrMalformed, n, len(r.buf)-r.off)
+	}
+}
+
+// Count reads a u32 element count for a variable-length section whose
+// elements each encode to at least elemSize bytes. A count the rest of
+// the payload cannot hold poisons the reader with ErrMalformed, so a
+// crafted prefix never makes the caller allocate more per element than
+// the input spends on it. A poisoned reader returns 0.
+func (r *Reader) Count(elemSize int) int {
+	n := r.U32()
+	if r.err != nil {
 		return 0
 	}
-	return n
+	if left := len(r.buf) - r.off; uint64(n)*uint64(elemSize) > uint64(left) {
+		r.err = fmt.Errorf("%w: count %d of %d-byte elements exceeds the %d payload bytes left",
+			ErrMalformed, n, elemSize, left)
+		return 0
+	}
+	return int(n)
 }
 
 // U64sInto fills dst from a length-prefixed slice written by U64s; the

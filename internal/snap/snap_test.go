@@ -109,31 +109,34 @@ func TestReaderPoisonsOnUnderrunAndLengthMismatch(t *testing.T) {
 		t.Fatalf("underrun: err = %v, want ErrMalformed", r2.Err())
 	}
 
-	// An open-ended length prefix larger than the payload left cannot be
-	// honoured: the reader poisons itself and reports 0, so the caller
-	// never sizes an allocation from it.
-	w3 := NewWriter()
-	w3.U32(1 << 24)
-	w3.U64(7)
-	r3, err := NewReader(w3.Finish())
-	if err != nil {
-		t.Fatal(err)
+	// A count whose elements the payload left cannot hold is refused:
+	// the reader poisons itself and reports 0, so the caller never sizes
+	// an allocation from it. Two 8-byte elements do not fit in the 8
+	// bytes that follow, though two 1-byte elements would.
+	for _, n := range []uint32{2, 1 << 24} {
+		w3 := NewWriter()
+		w3.U32(n)
+		w3.U64(7)
+		r3, err := NewReader(w3.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r3.Count(8); got != 0 {
+			t.Fatalf("oversized Count(8) of %d = %d, want 0", n, got)
+		}
+		if !errors.Is(r3.Err(), ErrMalformed) {
+			t.Fatalf("oversized Count(8) of %d: err = %v, want ErrMalformed", n, r3.Err())
+		}
 	}
-	if n := r3.Len(-1); n != 0 {
-		t.Fatalf("oversized Len(-1) = %d, want 0", n)
-	}
-	if !errors.Is(r3.Err(), ErrMalformed) {
-		t.Fatalf("oversized Len(-1): err = %v, want ErrMalformed", r3.Err())
-	}
-	// A prefix the payload can hold is accepted.
+	// A count the payload can hold is accepted.
 	w4 := NewWriter()
 	w4.U64s([]uint64{1, 2})
 	r4, err := NewReader(w4.Finish())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r4.Len(-1); n != 2 || r4.Err() != nil {
-		t.Fatalf("Len(-1) = %d (err %v), want 2", n, r4.Err())
+	if n := r4.Count(8); n != 2 || r4.Err() != nil {
+		t.Fatalf("Count(8) = %d (err %v), want 2", n, r4.Err())
 	}
 }
 

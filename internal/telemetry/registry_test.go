@@ -132,7 +132,7 @@ func TestCounterFunc(t *testing.T) {
 // of the two written pairs with its value and trace id consistent —
 // the whole *Exemplar swaps atomically, so a torn (value-from-A,
 // trace-from-B) mix can never be observed. Run under -race via
-// `make telemetry-race` / `make check`.
+// `make check`.
 func TestHistogramExemplarRaceLatestWins(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("race_exemplar_seconds", "h", nil)

@@ -18,7 +18,7 @@
 //     histograms. Counter.Add / Histogram.Observe are lock-free and
 //     allocation-free, so instruments can sit on hot paths. A registry
 //     renders as Prometheus text exposition (WritePrometheus), and
-//     ParseExposition reads one back (the serve smoke and loadgen read
+//     ParseExposition reads one back (the internal/serve tests read
 //     sccserve's counters that way).
 //   - Logging (log.go): NewLogger builds a leveled slog.Logger with a
 //     JSON or text handler; NewRequestID mints the correlation ID the

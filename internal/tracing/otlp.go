@@ -170,8 +170,9 @@ func WriteOTLPFile(path, service string, spans []SpanData) error {
 // span ids are reassigned depth-first in (start-order) tree order,
 // derived from the trace id. Two identical runs under the same inbound
 // traceparent therefore export byte-identical normalized documents —
-// the byte-stability property the smoke gate pins. The input is not
-// modified; spans are returned in depth-first tree order.
+// the byte-stability property serve's TestTraceNormalizedByteStable
+// pins. The input is not modified; spans are returned in depth-first
+// tree order.
 func NormalizeSpans(spans []SpanData) []SpanData {
 	if len(spans) == 0 {
 		return nil
@@ -225,8 +226,8 @@ func NormalizeSpans(spans []SpanData) []SpanData {
 // ValidateTree checks a trace export is well-formed: non-empty, exactly
 // one root, every parent id resolves to a span in the document (no
 // orphans), all spans share one trace id, every span is ended, and each
-// child's interval nests within its parent's. The smoke gate and the
-// harness tests run finished traces through it.
+// child's interval nests within its parent's. The serve and harness
+// tests run finished traces through it.
 func ValidateTree(spans []SpanData) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("tracing: empty trace")

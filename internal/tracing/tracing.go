@@ -16,8 +16,8 @@
 //   - Deterministic identity. Span IDs derive from the trace ID and a
 //     per-trace sequence number, and NormalizeSpans canonicalizes the
 //     remaining wall-clock fields, so two identical runs under the same
-//     traceparent export byte-identical normalized traces (the smoke
-//     gate's byte-stability check).
+//     traceparent export byte-identical normalized traces (pinned by
+//     serve's TestTraceNormalizedByteStable).
 //   - Propagatable. Trace context arrives and leaves as a W3C
 //     traceparent header, the prerequisite for the distributed execution
 //     backend (ROADMAP #2): cross-machine fan-out joins the same trace.

@@ -1,10 +1,21 @@
 package uopcache
 
 import (
+	"encoding/binary"
+
 	"sccsim/internal/isa"
 	"sccsim/internal/snap"
 	"sccsim/internal/uop"
 )
+
+// uopBytes is the encoded size of one uop.UOp, and minLineBytes that of
+// a line with no uops and no Meta: EntryPC, the uop count,
+// Slots/Ways/Hot, Locked, lastTouch and the Meta flag. They bound the
+// count prefixes DecodeLine and Partition.RestoreSnapshot accept
+// (snap.Reader.Count).
+var uopBytes = binary.Size(uop.UOp{})
+
+const minLineBytes = 8 + 4 + 3*8 + 1 + 8 + 1
 
 // EncodeLine serializes one cache line, invariant metadata included.
 // Exported because the SCC unit snapshots its pending compaction result
@@ -30,7 +41,7 @@ func EncodeLine(w *snap.Writer, l *Line) {
 // the reader is poisoned.
 func DecodeLine(r *snap.Reader) *Line {
 	l := &Line{EntryPC: r.U64()}
-	if n := r.Len(-1); n > 0 {
+	if n := r.Count(uopBytes); n > 0 {
 		us := make([]uop.UOp, n)
 		r.Block(us)
 		l.Uops = us
@@ -90,7 +101,7 @@ func encodeMeta(w *snap.Writer, m *CompactMeta) {
 
 func decodeMeta(r *snap.Reader) *CompactMeta {
 	m := &CompactMeta{}
-	if n := r.Len(-1); n > 0 {
+	if n := r.Count(6*8 + 1); n > 0 { // Key, PC, Value, Conf, Occ, ConfAtPlant, SrcKind
 		m.DataInv = make([]DataInvariant, n)
 		for i := range m.DataInv {
 			d := &m.DataInv[i]
@@ -103,7 +114,7 @@ func decodeMeta(r *snap.Reader) *CompactMeta {
 			d.SrcKind = r.U8()
 		}
 	}
-	if n := r.Len(-1); n > 0 {
+	if n := r.Count(8 + 1 + 3*8); n > 0 { // PC, Taken, Target, Conf, ConfAtPlant
 		m.CtrlInv = make([]CtrlInvariant, n)
 		for i := range m.CtrlInv {
 			c := &m.CtrlInv[i]
@@ -114,7 +125,7 @@ func decodeMeta(r *snap.Reader) *CompactMeta {
 			c.ConfAtPlant = r.Int()
 		}
 	}
-	if n := r.Len(-1); n > 0 {
+	if n := r.Count(1 + 8); n > 0 { // Reg, Value
 		m.LiveOuts = make([]LiveOut, n)
 		for i := range m.LiveOuts {
 			m.LiveOuts[i].Reg = isa.Reg(r.U8())
@@ -165,7 +176,7 @@ func (p *Partition) RestoreSnapshot(r *snap.Reader) {
 	p.decayAcc = r.Int()
 	r.Block(&p.Stats)
 	for si := range p.sets {
-		n := r.Len(-1)
+		n := r.Count(minLineBytes)
 		set := make([]*Line, 0, n)
 		for i := 0; i < n; i++ {
 			l := DecodeLine(r)
