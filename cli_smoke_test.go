@@ -92,6 +92,13 @@ func TestCLIMetricsDump(t *testing.T) {
 			if typ := exp.Types["runner_job_wall_seconds"]; typ != "histogram" {
 				t.Errorf("runner_job_wall_seconds TYPE = %q, want histogram", typ)
 			}
+			cycles, okC := exp.Samples["pipeline_cycles_total"]
+			skipped, okS := exp.Samples["pipeline_skipped_cycles_total"]
+			if !okC || !okS {
+				t.Errorf("cycle counters missing: pipeline_cycles_total %v, pipeline_skipped_cycles_total %v", okC, okS)
+			} else if !(0 < skipped && skipped < cycles) {
+				t.Errorf("pipeline_skipped_cycles_total = %v, pipeline_cycles_total = %v; want 0 < skipped < cycles", skipped, cycles)
+			}
 		})
 	}
 }

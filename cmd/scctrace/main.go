@@ -151,15 +151,15 @@ func run() int {
 		lines = lines[:*top]
 	}
 	for _, l := range lines {
-		dumpLine(l)
+		dumpLine(l, m.UC.Opt.Hot(l))
 	}
 	return 0
 }
 
-func dumpLine(l *uopcache.Line) {
+func dumpLine(l *uopcache.Line, hot int) {
 	m := l.Meta
 	fmt.Printf("line @ %#x: %d slots (from %d; shrinkage %d), streamed %d times, %d squashes, hot %d\n",
-		l.EntryPC, l.Slots, m.OrigSlots, m.Shrinkage(l.Slots), m.Streams, m.Squashes, l.Hot)
+		l.EntryPC, l.Slots, m.OrigSlots, m.Shrinkage(l.Slots), m.Streams, m.Squashes, hot)
 	fmt.Printf("  eliminated here: %d moves, %d folds, %d branches; %d propagated; resumes at %#x\n",
 		m.ElimMove, m.ElimFold, m.ElimBranch, m.Propagated, m.EndPC)
 	for i := range l.Uops {

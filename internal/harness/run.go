@@ -20,6 +20,7 @@ import (
 	"sccsim/internal/power"
 	"sccsim/internal/runner"
 	"sccsim/internal/scc"
+	"sccsim/internal/telemetry"
 	"sccsim/internal/tracing"
 	"sccsim/internal/workloads"
 )
@@ -177,6 +178,28 @@ func Prepare(cfg pipeline.Config, w workloads.Workload, opts Options) (*pipeline
 	return m, nil
 }
 
+// Cycle counters, registered on the process-wide registry at package
+// load like the snapshot_* series. Every Machine.Run the harness makes
+// adds the cycles it advanced and, of those, the quiet cycles it jumped
+// over; their ratio is the skipped share. Pure observability.
+var cycleMet = struct {
+	cycles  *telemetry.Counter
+	skipped *telemetry.Counter
+}{
+	cycles:  telemetry.Default().Counter("pipeline_cycles_total", "Simulated cycles advanced by Machine.Run, skipped ones included."),
+	skipped: telemetry.Default().Counter("pipeline_skipped_cycles_total", "Quiet cycles Machine.Run jumped over instead of simulating one by one."),
+}
+
+// run is m.Run plus the cycle counters.
+func run(m *pipeline.Machine) (*pipeline.Stats, error) {
+	c0, s0 := m.CycleCounts()
+	st, err := m.Run()
+	c1, s1 := m.CycleCounts()
+	cycleMet.cycles.Add(int64(c1 - c0))
+	cycleMet.skipped.Add(int64(s1 - s0))
+	return st, err
+}
+
 // measure is the serial core of a single run: prepare, simulate, package
 // the measurement. Sweep jobs call it from pool workers with the
 // runner-provided context, so a trace bound into Options.Ctx reaches
@@ -260,7 +283,7 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 			slog.Uint64("max_uops", m.Cfg.MaxUops))
 	}
 	t0 := time.Now()
-	st, err := m.Run()
+	st, err := run(m)
 	if err != nil {
 		simSpan.SetError(err.Error())
 		simSpan.End()
@@ -272,8 +295,10 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
 	}
 	if simSpan != nil {
+		_, skipped := m.CycleCounts()
 		simSpan.SetAttr("uops", st.CommittedUops)
 		simSpan.SetAttr("cycles", st.Cycles)
+		simSpan.SetAttr("skipped_cycles", skipped)
 	}
 	simSpan.End()
 	if rlog != nil {

@@ -85,7 +85,7 @@ func detailedWalk(cfg pipeline.Config, w workloads.Workload, intervalUops uint64
 	rs := make([]reading, n+1)
 	for i := 1; i <= n; i++ {
 		m.Cfg.MaxUops = uint64(i) * intervalUops
-		st, err := m.Run()
+		st, err := run(m)
 		if err != nil {
 			return nil, err
 		}

@@ -115,7 +115,7 @@ func warmupSnapshots(ctx context.Context, cfg pipeline.Config, w workloads.Workl
 	}
 	for i := start + 1; i <= maxB; i++ {
 		m.Cfg.MaxUops = uint64(i) * intervalUops
-		if _, err := m.Run(); err != nil {
+		if _, err := run(m); err != nil {
 			return nil, fmt.Errorf("harness: %s warmup to boundary %d: %w", w.Name, i, err)
 		}
 		if !missingSet[i] {
@@ -151,7 +151,7 @@ func runSnapshotShard(cfg pipeline.Config, w workloads.Workload, intervalUops ui
 		if m, err := pipeline.NewMachineFromSnapshot(cfg, w.Program(), data); err == nil {
 			lo := reading{cycles: m.Stats.Cycles, uops: m.Stats.CommittedUops}
 			m.Cfg.MaxUops = uint64(hi) * intervalUops
-			st, err := m.Run()
+			st, err := run(m)
 			if err != nil {
 				return shardSample{}, err
 			}

@@ -170,3 +170,43 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	})
 }
+
+// TestMcfSkipsMostCycles: mcf waits on memory most of the time, so under
+// full SCC at its default budget Machine.Run must jump over at least 90%
+// of its cycles (95.4% when this test was written). The harness.simulate
+// span carries the count, and it repeats exactly from run to run.
+func TestMcfSkipsMostCycles(t *testing.T) {
+	w, ok := workloads.ByName("mcf")
+	if !ok {
+		t.Fatal("workload mcf not found")
+	}
+	var counts [2][2]uint64 // per run: cycles, skipped
+	for i := range counts {
+		tr := tracing.New(tracing.MintTraceID())
+		if _, err := RunOne(pipeline.IcelakeSCC(scc.LevelFull), w, tracedOptions(tr, Options{})); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		for _, sp := range tr.Spans() {
+			if sp.Name != "harness.simulate" {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				switch a.Key {
+				case "cycles":
+					counts[i][0] = a.Value.(uint64)
+				case "skipped_cycles":
+					counts[i][1] = a.Value.(uint64)
+				}
+			}
+		}
+	}
+	cycles, skipped := counts[0][0], counts[0][1]
+	if cycles == 0 || skipped*10 < cycles*9 {
+		t.Errorf("skipped %d of %d cycles (%.1f%%), want at least 90%%",
+			skipped, cycles, 100*float64(skipped)/float64(cycles))
+	}
+	if counts[1] != counts[0] {
+		t.Errorf("counts differ between identical runs: %v then %v", counts[0], counts[1])
+	}
+}

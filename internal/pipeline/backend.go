@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"sccsim/internal/cache"
 	"sccsim/internal/isa"
 	"sccsim/internal/uop"
@@ -42,11 +44,13 @@ func (q *cycleCounter) push(c uint64) {
 	q.counts[c&q.mask]++
 }
 
-// drain credits back every entry whose cycle has passed.
+// drain credits back every entry whose cycle has passed. Once nothing
+// is left in the ring it stops walking, so a drain after a long skip
+// costs no more than the entries it credits.
 func (q *cycleCounter) drain(now uint64) {
 	q.occ -= q.stale
 	q.stale = 0
-	for c := q.last + 1; c <= now; c++ {
+	for c := q.last + 1; c <= now && q.occ > 0; c++ {
 		i := c & q.mask
 		q.occ -= int(q.counts[i])
 		q.counts[i] = 0
@@ -54,6 +58,24 @@ func (q *cycleCounter) drain(now uint64) {
 	if now > q.last {
 		q.last = now
 	}
+}
+
+// nextRelease returns the first drain clock at which Len drops: the last
+// drain clock while entries pushed at already-passed cycles wait for the
+// next drain, else the first later cycle an entry leaves at, or
+// math.MaxUint64 when the counter is empty.
+func (q *cycleCounter) nextRelease() uint64 {
+	if q.stale > 0 {
+		return q.last
+	}
+	if q.occ == 0 {
+		return math.MaxUint64
+	}
+	c := q.last + 1
+	for q.counts[c&q.mask] == 0 {
+		c++
+	}
+	return c
 }
 
 // grow widens the ring until cycle c fits the live window (last, last+size].
@@ -395,18 +417,18 @@ func (b *backend) inlineLiveOut(r isa.Reg, now uint64) {
 }
 
 // commit retires up to CommitWidth completed uops in order, updating stats.
-// It returns the number retired.
-func (b *backend) commit(now uint64, st *Stats) int {
-	n := 0
-	for n < b.cfg.CommitWidth && !b.rob.empty() {
+// It returns how many committed and how many doomed uops were squashed.
+func (b *backend) commit(now uint64, st *Stats) (retired, squashed int) {
+	for retired+squashed < b.cfg.CommitWidth && !b.rob.empty() {
 		e := b.rob.front()
 		if e.complete > now {
 			break
 		}
-		n++
 		if e.doomed {
+			squashed++
 			st.SquashedUops++
 		} else {
+			retired++
 			st.CommittedUops++
 			if e.slot {
 				st.CommittedSlots++
@@ -428,7 +450,7 @@ func (b *backend) commit(now uint64, st *Stats) int {
 		}
 		b.rob.advance()
 	}
-	return n
+	return retired, squashed
 }
 
 // drained reports whether all in-flight work has retired.

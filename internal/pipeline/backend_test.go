@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -128,14 +129,29 @@ func TestCycleCounterDrain(t *testing.T) {
 
 func TestCycleCounterMatchesMultiset(t *testing.T) {
 	// Property: under monotone drain clocks and random pushes (including
-	// far-future cycles that force ring growth, and already-passed cycles
-	// that stay live until the next drain), Len matches a reference
-	// multiset model at every step.
+	// far-future cycles that force ring growth, and already-passed or
+	// current cycles that stay live until the next drain), Len and
+	// nextRelease match a reference multiset model at every step. An
+	// entry leaves at the first drain whose clock has reached its cycle,
+	// so the model's next release is its earliest cycle, raised to the
+	// drain clock.
 	rng := rand.New(rand.NewSource(7))
 	q := newCycleCounter()
 	ref := map[uint64]int{}
 	refLen := 0
 	now := uint64(0)
+	refNext := func() uint64 {
+		next := uint64(math.MaxUint64)
+		for c := range ref {
+			if c < now {
+				c = now
+			}
+			if c < next {
+				next = c
+			}
+		}
+		return next
+	}
 	for i := 0; i < 30000; i++ {
 		switch rng.Intn(3) {
 		case 0, 1:
@@ -143,8 +159,11 @@ func TestCycleCounterMatchesMultiset(t *testing.T) {
 			if rng.Intn(20) == 0 {
 				c = now + uint64(rng.Intn(1<<14)) // outgrow the ring
 			}
-			if rng.Intn(10) == 0 && now > 3 {
+			switch {
+			case rng.Intn(10) == 0 && now > 3:
 				c = now - 3 // already-passed cycle
+			case rng.Intn(10) == 0:
+				c = now // the current cycle, which the last drain passed
 			}
 			q.push(c)
 			ref[c]++
@@ -161,6 +180,9 @@ func TestCycleCounterMatchesMultiset(t *testing.T) {
 		}
 		if q.Len() != refLen {
 			t.Fatalf("step %d: Len = %d, want %d", i, q.Len(), refLen)
+		}
+		if got, want := q.nextRelease(), refNext(); got != want {
+			t.Fatalf("step %d: nextRelease = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -261,10 +283,10 @@ func TestBackendCommitInOrder(t *testing.T) {
 	be.pushROB(10, false, true, true, nil)
 	be.pushROB(3, false, true, true, nil)
 	be.pushROB(5, false, true, true, nil)
-	if n := be.commit(4, &st); n != 0 {
+	if n, _ := be.commit(4, &st); n != 0 {
 		t.Errorf("committed %d at cycle 4; head completes at 10", n)
 	}
-	if n := be.commit(10, &st); n != 3 {
+	if n, _ := be.commit(10, &st); n != 3 {
 		t.Errorf("committed %d at cycle 10, want all 3 (in order)", n)
 	}
 	if st.CommittedUops != 3 || st.CommittedMacros != 3 {
@@ -278,7 +300,7 @@ func TestBackendCommitWidthBound(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		be.pushROB(1, false, true, false, nil)
 	}
-	if n := be.commit(5, &st); n != cfg.CommitWidth {
+	if n, _ := be.commit(5, &st); n != cfg.CommitWidth {
 		t.Errorf("committed %d, want commit width %d", n, cfg.CommitWidth)
 	}
 }

@@ -33,11 +33,17 @@ type idqEntry struct {
 }
 
 // cpiSig collects the per-cycle stall signals the CPI-stack classifier
-// consumes; reset at the top of every cycle.
+// consumes, and the counters the cycle charged, which a skip over the
+// quiet cycles after it charges again; reset at the top of every cycle.
 type cpiSig struct {
 	redirectStall  bool // fetch stalled waiting out a redirect
 	redirectSquash bool // ... and the redirect is an SCC squash
 	block          int  // dispatch-block reason (blockNone when unblocked)
+	// fetchStall is the fetch stall counter charged this cycle
+	// (IDQStallCycles, SquashCycles, MispredictCycles or
+	// FetchIdleCycles), nil when fetch did not stall.
+	fetchStall *uint64
+	slot       *uint64 // the CPI-stack slot accountCycle charged
 }
 
 // stream is a run of fetched entries being pushed into the IDQ.
@@ -117,7 +123,19 @@ type Machine struct {
 	sig cpiSig
 
 	cycle uint64
-	done  bool
+
+	// Run's progress guard: the last cycle CommittedUops moved at, and
+	// the count it moved to. Run resets both on entry.
+	lastProgress, lastCommitted uint64
+
+	// startCycle is the cycle the machine was built or restored at, and
+	// skipped counts the cycles its Run calls jumped over after a quiet
+	// cycle. Host-side bookkeeping: not part of Stats, not snapshotted.
+	startCycle, skipped uint64
+
+	// perCycle makes Run simulate every cycle instead of skipping quiet
+	// ones: the reference the skipping path is tested against.
+	perCycle bool
 }
 
 // lockedLine pairs a locked unoptimized line with the region PC whose
@@ -216,52 +234,145 @@ func (m *Machine) SetSCCJournal(j *scc.Journal) {
 	}
 }
 
+// progressLimit is how many cycles Run waits for a commit before it
+// gives up with an error.
+const progressLimit = 100_000
+
 // Run simulates until the program halts or cfg.MaxUops micro-ops commit.
 // It returns the final stats.
+//
+// After a quiet cycle (see step) Run jumps to the cycle before the next
+// event (nextEvent) instead of simulating the cycles in between: each of
+// them would repeat the quiet cycle exactly, so skipQuiet charges them
+// the same counters and every statistic, hook call and trace record is
+// the one per-cycle simulation produces.
 func (m *Machine) Run() (*Stats, error) {
-	var lastProgress uint64
-	lastCommitted := uint64(0)
-	for !m.done {
-		m.cycle++
-		m.Stats.Cycles = m.cycle
-		m.sig = cpiSig{}
-		prevCommitted := m.Stats.CommittedUops
-		prevSquashed := m.Stats.SquashedUops
-
-		m.be.commit(m.cycle, &m.Stats)
-		m.dispatch()
-		m.fetch()
-		m.sccTick()
-		m.UC.Tick()
-
-		// Attribute the cycle to its CPI-stack slot, then sample: the
-		// hook thereby always observes slots summing exactly to Cycles.
-		m.accountCycle(m.Stats.CommittedUops-prevCommitted, m.Stats.SquashedUops-prevSquashed)
-		if m.sampleFn != nil && m.Stats.CommittedUops >= m.nextSample {
-			m.sampleFn(m.Stats)
-			for m.nextSample <= m.Stats.CommittedUops {
-				m.nextSample += m.sampleEvery
-			}
+	m.lastProgress, m.lastCommitted = 0, 0
+	for {
+		quiet, done, err := m.step()
+		if done || err != nil {
+			return &m.Stats, err
 		}
-
-		if m.Stats.CommittedUops != lastCommitted {
-			lastCommitted = m.Stats.CommittedUops
-			lastProgress = m.cycle
-		}
-		// MaxUops bounds *program work* (micro-ops executed by the
-		// functional oracle), which is identical across configurations —
-		// the fixed-work unit that makes committed-uop and cycle counts
-		// comparable between the baseline and SCC. Once the budget is
-		// reached, fetch stops and the pipeline drains.
-		if (m.Oracle.Halted() || m.Oracle.UopCount >= m.Cfg.MaxUops) &&
-			m.streamEmpty() && m.idqEmpty() && m.be.drained() {
-			break
-		}
-		if m.cycle-lastProgress > 100_000 {
-			return &m.Stats, fmt.Errorf("pipeline: no commit progress for 100000 cycles at cycle %d (pc %#x)", m.cycle, m.nextPC)
+		if quiet && !m.perCycle {
+			m.skipQuiet()
 		}
 	}
-	return &m.Stats, nil
+}
+
+// CycleCounts returns how many cycles this machine's Run calls advanced
+// and how many of those they skipped instead of simulating. Neither is
+// part of Stats or of a snapshot.
+func (m *Machine) CycleCounts() (cycles, skipped uint64) {
+	return m.cycle - m.startCycle, m.skipped
+}
+
+// step simulates one cycle: commit, dispatch, fetch, the SCC unit and the
+// decay clock, then the cycle's CPI-stack slot, the sample hook and the
+// progress guard. done reports that the run is over; err that the guard
+// tripped. quiet reports that nothing retired or squashed, nothing
+// dispatched, fetch neither moved the stream nor built one nor cleared a
+// redirect, and the SCC unit had nothing to do.
+func (m *Machine) step() (quiet, done bool, err error) {
+	m.cycle++
+	m.Stats.Cycles = m.cycle
+	m.sig = cpiSig{}
+
+	retired, squashed := m.be.commit(m.cycle, &m.Stats)
+	dispatched := m.dispatch()
+	fetched := m.fetch()
+	// The unit goes after fetch: a request fetch enqueues this cycle is
+	// dispatched this cycle.
+	unitBusy := m.sccTick()
+	m.UC.Advance(1)
+
+	// Attribute the cycle to its CPI-stack slot, then sample: the
+	// hook thereby always observes slots summing exactly to Cycles.
+	m.accountCycle(retired, squashed)
+	if m.sampleFn != nil && m.Stats.CommittedUops >= m.nextSample {
+		m.sampleFn(m.Stats)
+		for m.nextSample <= m.Stats.CommittedUops {
+			m.nextSample += m.sampleEvery
+		}
+	}
+
+	if m.Stats.CommittedUops != m.lastCommitted {
+		m.lastCommitted = m.Stats.CommittedUops
+		m.lastProgress = m.cycle
+	}
+	// MaxUops bounds *program work* (micro-ops executed by the
+	// functional oracle), which is identical across configurations —
+	// the fixed-work unit that makes committed-uop and cycle counts
+	// comparable between the baseline and SCC. Once the budget is
+	// reached, fetch stops and the pipeline drains.
+	if (m.Oracle.Halted() || m.Oracle.UopCount >= m.Cfg.MaxUops) &&
+		m.streamEmpty() && m.idqEmpty() && m.be.drained() {
+		return false, true, nil
+	}
+	if m.cycle-m.lastProgress > progressLimit {
+		return false, false, fmt.Errorf("pipeline: no commit progress for %d cycles at cycle %d (pc %#x)", progressLimit, m.cycle, m.nextPC)
+	}
+	quiet = retired == 0 && squashed == 0 && !dispatched && !fetched && !unitBusy
+	return quiet, false, nil
+}
+
+// skipQuiet follows a quiet cycle: it advances to the cycle before
+// nextEvent, charging each skipped cycle what the quiet cycle was
+// charged — its CPI-stack slot, its dispatch and fetch stall counters
+// and one tick of the decay clock.
+func (m *Machine) skipQuiet() {
+	next := m.nextEvent()
+	if next <= m.cycle+1 {
+		return
+	}
+	k := next - 1 - m.cycle
+	m.cycle += k
+	m.skipped += k
+	m.Stats.Cycles = m.cycle
+	*m.sig.slot += k
+	if m.sig.block != blockNone {
+		m.Stats.ROBStallCycles += k
+	}
+	if m.sig.fetchStall != nil {
+		*m.sig.fetchStall += k
+	}
+	m.UC.Advance(int(k))
+}
+
+// nextEvent returns, after a quiet cycle, the first later cycle at which
+// something can change: the ROB head completes, the pending stream
+// becomes ready, a known redirect resumes fetch, the SCC unit finishes
+// its job, the structure that blocked dispatch (IQ or LSQ) releases an
+// entry, or the progress guard trips. A full ROB frees up only through
+// commit, a full IDQ only through dispatch, and an unknown redirect
+// resume only through dispatch, so those need no event of their own.
+// Candidates at or before the current cycle already held on the quiet
+// cycle and move nothing.
+func (m *Machine) nextEvent() uint64 {
+	next := m.lastProgress + progressLimit + 1
+	at := func(c uint64) {
+		if c > m.cycle && c < next {
+			next = c
+		}
+	}
+	if !m.be.rob.empty() {
+		at(m.be.rob.front().complete)
+	}
+	if !m.streamEmpty() {
+		at(m.cur.readyAt)
+	}
+	if m.redirectPending && m.resumeFetchAt != 0 {
+		at(m.resumeFetchAt)
+	}
+	if m.Unit != nil {
+		at(m.Unit.NextEvent())
+	}
+	switch m.sig.block {
+	case blockIQ:
+		at(m.be.iq.nextRelease())
+	case blockLSQ:
+		at(m.be.lsq.nextRelease())
+	}
+	return next
 }
 
 func (m *Machine) streamEmpty() bool { return m.cur.idx >= len(m.cur.entries) }
@@ -272,48 +383,61 @@ func (m *Machine) idqEmpty() bool    { return m.idq.empty() }
 // (bad speculation), then structural backend stalls, then execution
 // latency, then the front end — so the stack explains the *bottleneck*
 // of each cycle, and the slots sum to Cycles by construction.
-func (m *Machine) accountCycle(retired, squashed uint64) {
+func (m *Machine) accountCycle(retired, squashed int) {
 	st := &m.Stats
+	var slot *uint64
 	switch {
 	case retired > 0:
-		st.CPIRetiring++
+		slot = &st.CPIRetiring
 	case squashed > 0 || (m.sig.redirectStall && m.sig.redirectSquash):
 		// Doomed uops draining through commit, or fetch waiting out an
 		// SCC invariant-violation squash: wasted speculative work.
-		st.CPIBadSpecSquash++
+		slot = &st.CPIBadSpecSquash
 	case m.sig.redirectStall:
-		st.CPIBadSpecMispredict++
+		slot = &st.CPIBadSpecMispredict
 	case m.sig.block == blockROB:
-		st.CPIBackendROB++
+		slot = &st.CPIBackendROB
 	case m.sig.block == blockIQ:
-		st.CPIBackendIQ++
+		slot = &st.CPIBackendIQ
 	case m.sig.block == blockLSQ:
-		st.CPIBackendLSQ++
+		slot = &st.CPIBackendLSQ
 	case m.be.robLen() > 0:
 		// Nothing retired and dispatch was not structurally blocked, but
 		// work is in flight: waiting on FU/memory latency or contention.
-		st.CPIBackendExec++
+		slot = &st.CPIBackendExec
 	case !m.streamEmpty() && m.cycle < m.cur.readyAt && m.cur.source == srcDecode:
 		// The pending stream is serving an icache fetch + legacy decode.
-		st.CPIFrontendICache++
+		slot = &st.CPIFrontendICache
 	default:
 		// Empty pipe with no excuse from the back end: uop delivery.
-		st.CPIFrontendUop++
+		slot = &st.CPIFrontendUop
 	}
+	*slot++
+	m.sig.slot = slot
+}
+
+// stallFetch charges this cycle to the fetch stall counter c.
+func (m *Machine) stallFetch(c *uint64) {
+	*c++
+	m.sig.fetchStall = c
 }
 
 // --- dispatch: IDQ → back end ---
 
-func (m *Machine) dispatch() {
+// dispatch renames up to RenameWidth fused slots from the IDQ into the
+// back end and reports whether it dispatched any micro-op.
+func (m *Machine) dispatch() bool {
 	slots := 0
+	dispatched := false
 	for !m.idqEmpty() && slots < m.Cfg.RenameWidth {
 		e := m.idq.front()
 		isMem := e.u.Kind == uop.KLoad || e.u.Kind == uop.KStore
 		if block := m.be.dispatchBlock(m.cycle, isMem); block != blockNone {
 			m.Stats.ROBStallCycles++
 			m.sig.block = block
-			return
+			return dispatched
 		}
+		dispatched = true
 		complete := m.be.dispatch(&e.u, m.cycle, e.memAddr, e.doomed, &m.Stats)
 		if e.tr != nil {
 			e.tr.RenameCycle = m.cycle
@@ -335,6 +459,7 @@ func (m *Machine) dispatch() {
 		m.idqSlots -= boolToInt(!e.u.FusedWithPrev)
 		m.idq.advance()
 	}
+	return dispatched
 }
 
 func boolToInt(b bool) int {
@@ -346,20 +471,24 @@ func boolToInt(b bool) int {
 
 // --- fetch ---
 
-func (m *Machine) fetch() {
+// fetch reports whether it did more than stall: moved stream entries into
+// the IDQ, cleared a redirect or built a stream.
+func (m *Machine) fetch() (active bool) {
 	// The fetch engine delivers up to FetchWidth fused slots per cycle,
 	// chaining across line boundaries as real uop caches do. Streams from
 	// the legacy decode path are additionally rate-limited by DecodeWidth
 	// inside pushStream.
 	budget := m.Cfg.FetchWidth
 	for budget > 0 {
+		idx := m.cur.idx
 		n, blocked := m.pushStream(budget)
+		active = active || m.cur.idx != idx // fused entries move it too
 		budget -= n
 		if blocked || budget == 0 {
-			return
+			return active
 		}
 		if !m.streamEmpty() {
-			return // waiting on readyAt
+			return active // waiting on readyAt
 		}
 		// Stream exhausted: handle pending redirects before building more.
 		if m.redirectPending {
@@ -367,24 +496,27 @@ func (m *Machine) fetch() {
 				m.sig.redirectStall = true
 				m.sig.redirectSquash = m.redirectIsSquash
 				if m.redirectIsSquash {
-					m.Stats.SquashCycles++
+					m.stallFetch(&m.Stats.SquashCycles)
 				} else {
-					m.Stats.MispredictCycles++
+					m.stallFetch(&m.Stats.MispredictCycles)
 				}
-				return
+				return active
 			}
 			m.redirectPending = false
 			m.resumeFetchAt = 0
+			active = true
 		}
 		if m.Oracle.Halted() || m.Oracle.UopCount >= m.Cfg.MaxUops {
-			m.Stats.FetchIdleCycles++
-			return
+			m.stallFetch(&m.Stats.FetchIdleCycles)
+			return active
 		}
+		active = true // even when the stream comes out empty
 		m.buildStream()
 		if m.streamEmpty() {
-			return // nothing fetchable (halt)
+			return active // nothing fetchable (halt)
 		}
 	}
+	return active
 }
 
 // pushStream moves up to min(budget, stream rate) fused slots into the
@@ -401,7 +533,7 @@ func (m *Machine) pushStream(budget int) (int, bool) {
 	for m.cur.idx < len(m.cur.entries) && pushed < rate {
 		e := m.cur.entries[m.cur.idx]
 		if !e.u.FusedWithPrev && m.idqSlots >= m.Cfg.IDQSize {
-			m.Stats.IDQStallCycles++
+			m.stallFetch(&m.Stats.IDQStallCycles)
 			return pushed, true
 		}
 		if e.tr != nil {
@@ -495,7 +627,7 @@ func (m *Machine) maybeRequestCompaction(line *uopcache.Line, pc uint64, baseCoo
 	if m.Unit == nil || !m.Unit.Enabled() {
 		return
 	}
-	if line != nil && line.Hot < m.Cfg.UC.HotThreshold {
+	if line != nil && m.UC.Unopt.Hot(line) < m.Cfg.UC.HotThreshold {
 		return
 	}
 	rs := m.regions.ref(pc)
@@ -919,13 +1051,15 @@ func (m *Machine) buildDoomedStream(line *uopcache.Line, violated int) {
 
 // --- SCC unit tick ---
 
-func (m *Machine) sccTick() {
-	if m.Unit == nil {
-		return
+// sccTick ticks the SCC unit when it has work this cycle and reports
+// whether it did.
+func (m *Machine) sccTick() bool {
+	if m.Unit == nil || m.cycle < m.Unit.NextEvent() {
+		return false
 	}
 	res, ok := m.Unit.Tick(m.cycle)
 	if !ok {
-		return
+		return true
 	}
 	m.Stats.SCCRCTReads += res.RCTReads
 	m.Stats.SCCRCTWrites += res.RCTWrites
@@ -944,11 +1078,14 @@ func (m *Machine) sccTick() {
 				break
 			}
 		}
-	} else if m.Unit.QueueLen() == 0 || !m.Unit.Busy(m.cycle) {
-		// Aborted/discarded: unlock whatever we had locked for this job.
+	} else {
+		// Aborted or discarded. This unlocks every locked line, not only
+		// this job's: lines locked for requests still queued lose their
+		// lock too, so they may be evicted before their jobs run.
 		for _, l := range m.locked {
 			m.UC.Unopt.Unlock(l.line)
 		}
 		m.locked = m.locked[:0]
 	}
+	return true
 }

@@ -222,20 +222,16 @@ func TestIDQNeverExceedsCapacity(t *testing.T) {
 	cfg.MaxUops = 30_000
 	cfg.IDQSize = 16 // tiny, to stress the check
 	m := mustMachine(t, cfg, hotLoop)
-	// Step manually and check occupancy each cycle.
+	// Step Run's cycle body by hand and check occupancy each cycle.
 	for i := 0; i < 200_000; i++ {
-		m.cycle++
-		m.Stats.Cycles = m.cycle
-		m.be.commit(m.cycle, &m.Stats)
-		m.dispatch()
-		m.fetch()
-		m.sccTick()
-		m.UC.Tick()
+		_, done, err := m.step()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m.idqSlots > cfg.IDQSize {
 			t.Fatalf("IDQ occupancy %d exceeds capacity %d", m.idqSlots, cfg.IDQSize)
 		}
-		if (m.Oracle.Halted() || m.Oracle.UopCount >= cfg.MaxUops) &&
-			m.streamEmpty() && m.idqEmpty() && m.be.drained() {
+		if done {
 			break
 		}
 	}

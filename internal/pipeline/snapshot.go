@@ -34,7 +34,7 @@ func (m *Machine) Snapshot() ([]byte, error) {
 
 	// Pipeline control state.
 	w.U64(m.cycle)
-	w.Bool(m.done)
+	w.Bool(false) // retired "done" flag, kept so the format is unchanged
 	w.U64(m.nextPC)
 	w.Bool(m.redirectPending)
 	w.Bool(m.redirectIsSquash)
@@ -103,7 +103,10 @@ func NewMachineFromSnapshot(cfg Config, prog *asm.Program, data []byte) (*Machin
 	}
 
 	m.cycle = r.U64()
-	m.done = r.Bool()
+	m.startCycle = m.cycle
+	if r.Bool() {
+		r.Errorf("%w: retired done flag is set", snap.ErrMalformed)
+	}
 	m.nextPC = r.U64()
 	m.redirectPending = r.Bool()
 	m.redirectIsSquash = r.Bool()

@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"reflect"
 	"testing"
 
 	"sccsim/internal/scc"
+	"sccsim/internal/snap"
 	"sccsim/internal/workloads"
 )
 
@@ -113,5 +116,37 @@ func TestSnapshotRestoreRejectsWrongConfig(t *testing.T) {
 	vp.ValuePredictor = "lastvalue"
 	if _, err := NewMachineFromSnapshot(vp, w.Program(), data); err == nil {
 		t.Fatal("restore into a different value predictor succeeded; want kind error")
+	}
+}
+
+// TestSnapshotRejectsDoneFlag: the byte after the cycle count is the
+// retired "done" flag, which Snapshot always writes false so the format
+// stays unchanged. A snapshot with it set is malformed.
+func TestSnapshotRejectsDoneFlag(t *testing.T) {
+	w, _ := workloads.ByName("mcf")
+	cfg := Icelake()
+	m := workloadMachine(t, w, cfg)
+	m.Cfg.MaxUops = 5_000
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-seal the payload (between the 12-byte magic+version header and
+	// the SHA-256 trailer) with the flag byte set to v.
+	reseal := func(v byte) []byte {
+		payload := append([]byte(nil), data[12:len(data)-sha256.Size]...)
+		payload[8] = v // after the u64 cycle count
+		w := snap.NewWriter()
+		w.Raw(payload)
+		return w.Finish()
+	}
+	if _, err := NewMachineFromSnapshot(cfg, w.Program(), reseal(0)); err != nil {
+		t.Fatalf("re-sealed snapshot with the flag clear: %v", err)
+	}
+	if _, err := NewMachineFromSnapshot(cfg, w.Program(), reseal(1)); !errors.Is(err, snap.ErrMalformed) {
+		t.Fatalf("flag set: err = %v, want snap.ErrMalformed", err)
 	}
 }

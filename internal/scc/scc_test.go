@@ -760,8 +760,8 @@ func TestUnitBusyTiming(t *testing.T) {
 	if _, ok := u.Tick(now); ok {
 		t.Error("job cannot complete on dispatch cycle")
 	}
-	if !u.Busy(now + 1) {
-		t.Error("unit should be busy")
+	if got := u.NextEvent(); got != now+4 {
+		t.Errorf("NextEvent = %d, want the job's completion at now+4 = %d", got, now+4)
 	}
 	for c := now + 1; c < now+4; c++ {
 		if _, ok := u.Tick(c); ok {

@@ -1,6 +1,10 @@
 package scc
 
-import "sccsim/internal/uopcache"
+import (
+	"math"
+
+	"sccsim/internal/uopcache"
+)
 
 // UnitStats aggregates the unit's lifetime activity.
 type UnitStats struct {
@@ -22,7 +26,8 @@ type UnitStats struct {
 }
 
 // Unit is the speculative code compaction unit: the request queue plus the
-// (single) compaction engine. The pipeline ticks it once per cycle.
+// (single) compaction engine. The pipeline ticks it on the cycles NextEvent
+// names; on every other cycle Tick would return nothing and change nothing.
 type Unit struct {
 	Cfg   Config
 	Env   Env
@@ -94,8 +99,18 @@ func (u *Unit) journalRequest(now, pc uint64, outcome RequestOutcome) {
 // QueueLen returns the number of waiting requests.
 func (u *Unit) QueueLen() int { return len(u.queue) }
 
-// Busy reports whether a job is in flight at the given cycle.
-func (u *Unit) Busy(now uint64) bool { return u.pendingOK && now < u.busyUntil }
+// NextEvent returns the first cycle at which Tick has work: the in-flight
+// job's completion cycle, 0 when a queued request waits to be dispatched,
+// or math.MaxUint64 when the unit is idle until the next Request.
+func (u *Unit) NextEvent() uint64 {
+	switch {
+	case u.pendingOK:
+		return u.busyUntil
+	case len(u.queue) > 0:
+		return 0
+	}
+	return math.MaxUint64
+}
 
 // Tick advances the unit by one cycle. When a job completes it returns the
 // finished Result (with Line non-nil if a compacted stream should be

@@ -19,8 +19,14 @@ const minLineBytes = 8 + 4 + 3*8 + 1 + 8 + 1
 
 // EncodeLine serializes one cache line, invariant metadata included.
 // Exported because the SCC unit snapshots its pending compaction result
-// — a line minted but not yet inserted into any partition.
-func EncodeLine(w *snap.Writer, l *Line) {
+// — a line minted but not yet inserted into any partition, whose stored
+// hotness is therefore current.
+func EncodeLine(w *snap.Writer, l *Line) { encodeLine(w, l, l.hot) }
+
+// encodeLine writes l with hotness hot (a partition passes the
+// up-to-date value, so the bytes do not depend on when the line last
+// caught up with the decay clock).
+func encodeLine(w *snap.Writer, l *Line, hot int) {
 	w.U64(l.EntryPC)
 	w.U32(uint32(len(l.Uops)))
 	if len(l.Uops) > 0 {
@@ -28,7 +34,7 @@ func EncodeLine(w *snap.Writer, l *Line) {
 	}
 	w.Int(l.Slots)
 	w.Int(l.Ways)
-	w.Int(l.Hot)
+	w.Int(hot)
 	w.Bool(l.Locked)
 	w.U64(l.lastTouch)
 	w.Bool(l.Meta != nil)
@@ -48,7 +54,7 @@ func DecodeLine(r *snap.Reader) *Line {
 	}
 	l.Slots = r.Int()
 	l.Ways = r.Int()
-	l.Hot = r.Int()
+	l.hot = r.Int()
 	l.Locked = r.Bool()
 	l.lastTouch = r.U64()
 	if r.Bool() {
@@ -148,8 +154,9 @@ func decodeMeta(r *snap.Reader) *CompactMeta {
 
 // EncodeSnapshot serializes one partition: clocks, stats, and every
 // resident line set by set (sets are ordered slices, so the walk is
-// already deterministic). Geometry is written as a header so a restore
-// against a differently configured partition fails loudly.
+// already deterministic) with its up-to-date hotness. Geometry is
+// written as a header so a restore against a differently configured
+// partition fails loudly.
 func (p *Partition) EncodeSnapshot(w *snap.Writer) {
 	w.U32(uint32(p.NumSets))
 	w.U32(uint32(p.Ways))
@@ -159,14 +166,15 @@ func (p *Partition) EncodeSnapshot(w *snap.Writer) {
 	for _, set := range p.sets {
 		w.U32(uint32(len(set)))
 		for _, l := range set {
-			EncodeLine(w, l)
+			encodeLine(w, l, p.Hot(l))
 		}
 	}
 }
 
 // RestoreSnapshot rebuilds the partition's line sets from the snapshot.
 // Lines are written into the sets directly — Insert is never called, so
-// restore cannot perturb touch clocks or eviction stats.
+// restore cannot perturb touch clocks or eviction stats. The decay clock
+// restarts at epoch 0, where every restored line's hotness is stored.
 func (p *Partition) RestoreSnapshot(r *snap.Reader) {
 	if sets, ways := int(r.U32()), int(r.U32()); sets != p.NumSets || ways != p.Ways {
 		r.Errorf("uopcache: snapshot partition geometry %dx%d, machine is %dx%d", sets, ways, p.NumSets, p.Ways)
@@ -174,6 +182,7 @@ func (p *Partition) RestoreSnapshot(r *snap.Reader) {
 	}
 	p.touch = r.U64()
 	p.decayAcc = r.Int()
+	p.epoch = 0
 	r.Block(&p.Stats)
 	for si := range p.sets {
 		n := r.Count(minLineBytes)

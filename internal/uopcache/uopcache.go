@@ -1,9 +1,10 @@
 // Package uopcache implements the micro-op cache and the paper's extensions
 // to it: separate unoptimized and optimized partitions that co-host multiple
-// versions of micro-op sequences, hotness counters with periodic decay, lock
-// bits for lines under compaction, an extended tag array holding 4-bit
-// saturating confidence counters per predicted invariant, and the
-// profitability scoring the fetch engine uses to select a stream (§III, §V).
+// versions of micro-op sequences, hotness counters with periodic decay
+// (applied lazily, see Partition.Advance), lock bits for lines under
+// compaction, an extended tag array holding 4-bit saturating confidence
+// counters per predicted invariant, and the profitability scoring the fetch
+// engine uses to select a stream (§III, §V).
 //
 // Geometry follows the Icelake-like baseline (Table I): 8-way sets of lines
 // holding up to 6 fused micro-ops each; one 32-byte code region may span at
@@ -190,10 +191,13 @@ type Line struct {
 	Uops    []uop.UOp
 	Slots   int // fused slots
 	Ways    int // way-slots consumed: ceil(Slots/UopsPerWay)
-	Hot     int // hotness counter (incremented on access, decayed periodically)
 	Locked  bool
 	Meta    *CompactMeta
 
+	// hot is the hotness counter as of decay epoch epoch (incremented on
+	// access, decayed once per epoch); Partition.Hot reads it up to date.
+	hot       int
+	epoch     uint64
 	lastTouch uint64
 }
 
@@ -213,7 +217,7 @@ func (l *Line) String() string {
 	if l.Meta != nil {
 		kind = fmt.Sprintf("opt(shrink=%d,conf=%d)", l.Meta.Shrinkage(l.Slots), l.Meta.SumConf())
 	}
-	return fmt.Sprintf("line@%#x %s slots=%d ways=%d hot=%d", l.EntryPC, kind, l.Slots, l.Ways, l.Hot)
+	return fmt.Sprintf("line@%#x %s slots=%d ways=%d", l.EntryPC, kind, l.Slots, l.Ways)
 }
 
 // Stats counts partition activity.
@@ -235,7 +239,8 @@ type Partition struct {
 
 	sets     [][]*Line
 	touch    uint64
-	decayAcc int
+	decayAcc int    // cycles since the last decay epoch began
+	epoch    uint64 // decay epochs elapsed since New or RestoreSnapshot
 	Stats    Stats
 }
 
@@ -253,15 +258,36 @@ func (p *Partition) setIndex(pc uint64) int {
 	return int((pc >> 5) % uint64(p.NumSets))
 }
 
+// Hot returns l's hotness at the current decay epoch: the stored count
+// less one per epoch since it was stored, saturating at zero.
+func (p *Partition) Hot(l *Line) int {
+	if d := p.epoch - l.epoch; d < uint64(l.hot) {
+		return l.hot - int(d)
+	}
+	return 0
+}
+
+// materialize brings l's stored hotness up to the current epoch.
+func (p *Partition) materialize(l *Line) {
+	l.hot = p.Hot(l)
+	l.epoch = p.epoch
+}
+
+// access records one access to l: LRU touch plus a hotness increment.
+func (p *Partition) access(l *Line) {
+	p.touch++
+	l.lastTouch = p.touch
+	p.materialize(l)
+	l.hot++
+}
+
 // Lookup returns the first line whose entry PC matches, updating hotness
 // and hit/miss stats.
 func (p *Partition) Lookup(pc uint64) *Line {
 	set := p.sets[p.setIndex(pc)]
 	for _, l := range set {
 		if l.EntryPC == pc {
-			p.touch++
-			l.lastTouch = p.touch
-			l.Hot++
+			p.access(l)
 			p.Stats.Hits++
 			p.Stats.SlotsRead += uint64(l.Slots)
 			return l
@@ -278,9 +304,7 @@ func (p *Partition) LookupAll(pc uint64, dst []*Line) []*Line {
 	set := p.sets[p.setIndex(pc)]
 	for _, l := range set {
 		if l.EntryPC == pc {
-			p.touch++
-			l.lastTouch = p.touch
-			l.Hot++
+			p.access(l)
 			dst = append(dst, l)
 		}
 	}
@@ -325,7 +349,8 @@ func (p *Partition) usedWays(set []*Line) int {
 
 // Insert places a line, evicting least-recently-touched unlocked lines as
 // needed. It returns false (and does not insert) when locked lines prevent
-// making room or the line is too large for the associativity.
+// making room or the line is too large for the associativity. The line's
+// hotness starts decaying from the current epoch.
 func (p *Partition) Insert(l *Line) bool {
 	if l.Ways > p.Ways {
 		return false
@@ -337,6 +362,7 @@ func (p *Partition) Insert(l *Line) bool {
 	// unless they have identical invariants.
 	for i, old := range set {
 		if old.EntryPC == l.EntryPC && sameVersion(old, l) && !old.Locked {
+			p.materialize(old)
 			set = append(set[:i], set[i+1:]...)
 			p.Stats.Evictions++
 			break
@@ -358,11 +384,13 @@ func (p *Partition) Insert(l *Line) bool {
 			p.sets[si] = set
 			return false
 		}
+		p.materialize(set[victim])
 		set = append(set[:victim], set[victim+1:]...)
 		p.Stats.Evictions++
 	}
 	p.touch++
 	l.lastTouch = p.touch
+	l.epoch = p.epoch
 	set = append(set, l)
 	p.sets[si] = set
 	p.Stats.Insertions++
@@ -402,6 +430,7 @@ func (p *Partition) Remove(target *Line) bool {
 	set := p.sets[si]
 	for i, l := range set {
 		if l == target {
+			p.materialize(l)
 			p.sets[si] = append(set[:i], set[i+1:]...)
 			p.Stats.Evictions++
 			return true
@@ -432,30 +461,31 @@ func (p *Partition) Lock(l *Line) bool {
 // Unlock clears a line's lock bit.
 func (p *Partition) Unlock(l *Line) { l.Locked = false }
 
-// Tick advances the hotness-decay clock by one cycle, decrementing every
-// line's hotness once per DecayPeriod.
-func (p *Partition) Tick() {
+// Advance moves the hotness-decay clock forward by n cycles. Every
+// DecayPeriod-th cycle starts a new decay epoch, which lowers every
+// resident line's hotness by one (saturating at zero). Lines are not
+// walked: Hot subtracts the epochs a line has not yet seen, and
+// accesses, evictions and Lines bring the stored count up to date.
+func (p *Partition) Advance(n int) {
 	if p.DecayPeriod <= 0 {
 		return
 	}
-	p.decayAcc++
+	p.decayAcc += n
 	if p.decayAcc < p.DecayPeriod {
 		return
 	}
-	p.decayAcc = 0
-	for _, set := range p.sets {
-		for _, l := range set {
-			if l.Hot > 0 {
-				l.Hot--
-			}
-		}
-	}
+	p.epoch += uint64(p.decayAcc / p.DecayPeriod)
+	p.decayAcc %= p.DecayPeriod
 }
 
-// Lines returns all resident lines (test/diagnostic use).
+// Lines returns all resident lines, their hotness brought up to date
+// (test/diagnostic use).
 func (p *Partition) Lines() []*Line {
 	var out []*Line
 	for _, set := range p.sets {
+		for _, l := range set {
+			p.materialize(l)
+		}
 		out = append(out, set...)
 	}
 	return out
@@ -530,11 +560,11 @@ func New(cfg Config) *UopCache {
 	return u
 }
 
-// Tick advances both partitions' decay clocks.
-func (u *UopCache) Tick() {
-	u.Unopt.Tick()
+// Advance moves both partitions' decay clocks forward by n cycles.
+func (u *UopCache) Advance(n int) {
+	u.Unopt.Advance(n)
 	if u.Opt != nil {
-		u.Opt.Tick()
+		u.Opt.Advance(n)
 	}
 }
 
@@ -581,7 +611,7 @@ func (u *UopCache) Select(pc uint64, scratch []*Line, vpMatches func(DataInvaria
 		if m.MinConf() < u.Cfg.StreamConfThreshold {
 			continue
 		}
-		if cand.Hot < u.Cfg.StreamHotThreshold {
+		if u.Opt.Hot(cand) < u.Cfg.StreamHotThreshold {
 			continue
 		}
 		if m.Shrinkage(cand.Slots) < u.Cfg.MinShrinkage {

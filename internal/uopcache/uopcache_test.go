@@ -51,8 +51,8 @@ func TestPartitionLookupInsert(t *testing.T) {
 	if got != l {
 		t.Fatal("lookup after insert failed")
 	}
-	if got.Hot != 1 {
-		t.Errorf("hotness after one access = %d", got.Hot)
+	if h := p.Hot(got); h != 1 {
+		t.Errorf("hotness after one access = %d", h)
 	}
 	if p.Stats.Hits != 1 || p.Stats.Misses != 1 || p.Stats.Insertions != 1 {
 		t.Errorf("stats = %+v", p.Stats)
@@ -148,20 +148,18 @@ func TestHotnessDecay(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Lookup(0x1000)
 	}
-	if l.Hot != 5 {
-		t.Fatalf("hot = %d", l.Hot)
+	if h := p.Hot(l); h != 5 {
+		t.Fatalf("hot = %d", h)
 	}
 	for i := 0; i < 9; i++ { // 9 cycles at period 3 = 3 decays
-		p.Tick()
+		p.Advance(1)
 	}
-	if l.Hot != 2 {
-		t.Errorf("after decay hot = %d, want 2", l.Hot)
+	if h := p.Hot(l); h != 2 {
+		t.Errorf("after decay hot = %d, want 2", h)
 	}
-	for i := 0; i < 30; i++ {
-		p.Tick()
-	}
-	if l.Hot != 0 {
-		t.Errorf("hotness must floor at 0, got %d", l.Hot)
+	p.Advance(30)
+	if h := p.Hot(l); h != 0 {
+		t.Errorf("hotness must floor at 0, got %d", h)
 	}
 }
 
@@ -258,7 +256,7 @@ func TestSelectPrefersProfitableOptimized(t *testing.T) {
 	u.Unopt.Insert(NewLine(0x1000, mkUops(10, 0x1000), nil))
 	good := optLine(0x1000, 5, 10, 12)
 	u.Opt.Insert(good)
-	good.Hot = 3
+	good.hot = 3
 	sel, _ := u.Select(0x1000, nil, nil)
 	if !sel.FromOpt || sel.Line != good {
 		t.Fatalf("selection = %+v", sel)
@@ -273,7 +271,7 @@ func TestSelectRejectsLowConfidence(t *testing.T) {
 	unopt := NewLine(0x1000, mkUops(10, 0x1000), nil)
 	u.Unopt.Insert(unopt)
 	weak := optLine(0x1000, 5, 10, 2) // below StreamConfThreshold=5
-	weak.Hot = 5
+	weak.hot = 5
 	u.Opt.Insert(weak)
 	sel, _ := u.Select(0x1000, nil, nil)
 	if sel.FromOpt {
@@ -302,7 +300,7 @@ func TestSelectChecksCurrentPredictorState(t *testing.T) {
 	u := New(selectCfg())
 	u.Unopt.Insert(NewLine(0x1000, mkUops(10, 0x1000), nil))
 	l := optLine(0x1000, 5, 10, 12)
-	l.Hot = 3
+	l.hot = 3
 	u.Opt.Insert(l)
 	// The VP no longer agrees with the stored invariant: must not stream.
 	sel, _ := u.Select(0x1000, nil, func(d DataInvariant) bool { return false })
@@ -323,7 +321,7 @@ func TestSelectPicksHighestScoringVersion(t *testing.T) {
 		DataInv:   []DataInvariant{{Key: 2, Value: 7, Conf: 10}},
 		OrigSlots: 12, // score 10+6
 	})
-	small.Hot, big.Hot = 3, 3
+	small.hot, big.hot = 3, 3
 	u.Opt.Insert(small)
 	u.Opt.Insert(big)
 	sel, _ := u.Select(0x1000, nil, nil)
@@ -377,7 +375,7 @@ func TestRemove(t *testing.T) {
 func gateLine(u *UopCache, squashes, streams uint64) *Line {
 	u.Unopt.Insert(NewLine(0x1000, mkUops(10, 0x1000), nil))
 	l := optLine(0x1000, 5, 10, 12)
-	l.Hot = 5
+	l.hot = 5
 	l.Meta.Squashes = squashes
 	l.Meta.Streams = streams
 	u.Opt.Insert(l)
@@ -465,7 +463,7 @@ func TestSelectCountsCandidates(t *testing.T) {
 	u := New(selectCfg())
 	u.Unopt.Insert(NewLine(0x1000, mkUops(10, 0x1000), nil))
 	weak := optLine(0x1000, 5, 10, 2) // below the confidence threshold
-	weak.Hot = 5
+	weak.hot = 5
 	u.Opt.Insert(weak)
 	sel, _ := u.Select(0x1000, nil, nil)
 	if sel.FromOpt {
