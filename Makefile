@@ -3,8 +3,8 @@
 
 GO ?= go
 
-.PHONY: all build test check bench bench-json diff explain figures fig6 fig7 \
-        fig8 fig9 fig10 fig11 table1 overhead examples serve clean
+.PHONY: all build test check fuzz-smoke bench bench-json diff explain figures \
+        fig6 fig7 fig8 fig9 fig10 fig11 table1 overhead examples serve clean
 
 all: build test
 
@@ -26,6 +26,14 @@ check:
 	$(GO) test -race ./...
 	$(MAKE) bench-json
 
+# Native fuzz targets, each for a short fixed budget: the sparse table
+# decoder and the cache-level restore. A new interesting input is
+# minimized for at most 1 s, so the budget goes to fuzzing; a crasher
+# lands in the package's testdata/fuzz and fails the target.
+fuzz-smoke:
+	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzReaderSparse$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheRestore$$' -fuzztime 10s -fuzzminimizetime 1s
+
 # Reduced-scale benchmark suite: one bench per table/figure + ablations.
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -33,13 +41,13 @@ bench:
 # Machine-readable benchmark artifact: a reduced-scale fig6+fig7 sweep
 # writes per-run JSON manifests (Manifest.Encode verifies each one
 # round-trips through encoding/json) and the aggregate index becomes
-# BENCH_pr16.json — the headline numbers a perf trajectory can diff.
+# BENCH_pr17.json — the headline numbers a perf trajectory can diff.
 # Committed BENCH_pr*.json baselines from earlier PRs are never rewritten.
 bench-json:
 	rm -rf manifests
 	$(GO) run ./cmd/sccbench -experiment fig6,fig7 \
 	    -workloads xalancbmk,mcf,lbm -max-uops 30000 -json manifests > /dev/null
-	cp manifests/index.json BENCH_pr16.json
+	cp manifests/index.json BENCH_pr17.json
 
 # Regression gate: regenerate the reduced-scale sweep and diff it against
 # the committed PR-2 baseline with direction-aware thresholds (sccdiff

@@ -20,8 +20,8 @@ func (u *Unit) EncodeSnapshot(w *snap.Writer) {
 }
 
 // RestoreSnapshot fills a freshly built (NewUnit-sized) unit from the
-// snapshot. Table geometries are length-checked by the slice decoders;
-// a mismatch poisons the reader.
+// snapshot. Table geometries are length-checked by the sparse table
+// decoder; a mismatch poisons the reader.
 func (u *Unit) RestoreSnapshot(r *snap.Reader) {
 	u.Dir.restoreSnapshot(r)
 	u.Btb.restoreSnapshot(r)
@@ -31,13 +31,27 @@ func (u *Unit) RestoreSnapshot(r *snap.Reader) {
 }
 
 func (t *TAGE) encodeSnapshot(w *snap.Writer) {
-	w.I8s(t.base)
+	base := w.Sparse(len(t.base))
+	for i, v := range t.base {
+		if v != 0 {
+			base.Entry(i)
+			w.I8(v)
+		}
+	}
+	base.End()
 	w.U32(uint32(len(t.tables)))
 	for i := range t.tables {
 		tt := &t.tables[i]
-		w.U16s(tt.tags)
-		w.I8s(tt.ctr)
-		w.U8s(tt.useful)
+		tbl := w.Sparse(len(tt.tags))
+		for j := range tt.tags {
+			if tt.tags[j] != 0 || tt.ctr[j] != 0 || tt.useful[j] != 0 {
+				tbl.Entry(j)
+				w.U16(tt.tags[j])
+				w.I8(tt.ctr[j])
+				w.U8(tt.useful[j])
+			}
+		}
+		tbl.End()
 	}
 	w.U64(t.ghist)
 	w.U64(t.Lookups)
@@ -46,13 +60,20 @@ func (t *TAGE) encodeSnapshot(w *snap.Writer) {
 }
 
 func (t *TAGE) restoreSnapshot(r *snap.Reader) {
-	r.I8sInto(t.base)
+	base := r.Sparse(len(t.base), 1)
+	for base.Next() {
+		t.base[base.Index()] = r.I8()
+	}
 	r.Len(len(t.tables))
 	for i := range t.tables {
 		tt := &t.tables[i]
-		r.U16sInto(tt.tags)
-		r.I8sInto(tt.ctr)
-		r.U8sInto(tt.useful)
+		tbl := r.Sparse(len(tt.tags), 2+1+1) // tag, ctr, useful
+		for tbl.Next() {
+			j := tbl.Index()
+			tt.tags[j] = r.U16()
+			tt.ctr[j] = r.I8()
+			tt.useful[j] = r.U8()
+		}
 	}
 	t.ghist = r.U64()
 	t.Lookups = r.U64()
@@ -61,15 +82,26 @@ func (t *TAGE) restoreSnapshot(r *snap.Reader) {
 }
 
 func (b *BTB) encodeSnapshot(w *snap.Writer) {
-	w.U64s(b.tags)
-	w.U64s(b.targets)
+	tbl := w.Sparse(len(b.tags))
+	for i := range b.tags {
+		if b.tags[i] != 0 || b.targets[i] != 0 {
+			tbl.Entry(i)
+			w.U64(b.tags[i])
+			w.U64(b.targets[i])
+		}
+	}
+	tbl.End()
 	w.U64(b.Hits)
 	w.U64(b.Misses)
 }
 
 func (b *BTB) restoreSnapshot(r *snap.Reader) {
-	r.U64sInto(b.tags)
-	r.U64sInto(b.targets)
+	tbl := r.Sparse(len(b.tags), 2*8) // tag, target
+	for tbl.Next() {
+		i := tbl.Index()
+		b.tags[i] = r.U64()
+		b.targets[i] = r.U64()
+	}
 	b.Hits = r.U64()
 	b.Misses = r.U64()
 }
@@ -127,14 +159,17 @@ func (it *ITTAGE) encodeSnapshot(w *snap.Writer) {
 	}
 	w.U32(uint32(len(it.tables)))
 	for _, tbl := range it.tables {
-		w.U32(uint32(len(tbl)))
-		for i := range tbl {
-			e := &tbl[i]
-			w.U16(e.tag)
-			w.U64(e.target)
-			w.I8(e.conf)
-			w.U8(e.useful)
+		t := w.Sparse(len(tbl))
+		for i, e := range tbl {
+			if e != (ittEntry{}) {
+				t.Entry(i)
+				w.U16(e.tag)
+				w.U64(e.target)
+				w.I8(e.conf)
+				w.U8(e.useful)
+			}
 		}
+		t.End()
 	}
 	w.U64(it.ghist)
 	w.U8(it.tick)
@@ -151,9 +186,9 @@ func (it *ITTAGE) restoreSnapshot(r *snap.Reader) {
 	}
 	r.Len(len(it.tables))
 	for _, tbl := range it.tables {
-		r.Len(len(tbl))
-		for i := range tbl {
-			e := &tbl[i]
+		t := r.Sparse(len(tbl), 2+8+1+1) // tag, target, conf, useful
+		for t.Next() {
+			e := &tbl[t.Index()]
 			e.tag = r.U16()
 			e.target = r.U64()
 			e.conf = r.I8()

@@ -52,7 +52,13 @@ func (s Stats) HitRate() float64 {
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg      Config
+	cfg Config
+	// sets views each set's ways. The ways of groupSets consecutive sets
+	// share one backing array, allocated on the first fill into the
+	// group or when a restore lists one of its lines; until then the
+	// group's sets are empty, so Lookup and Contains miss on them with
+	// no check of their own, and a level costs memory in proportion to
+	// the sets a run touched, not to its capacity.
 	sets     [][]line
 	tick     uint32
 	rng      uint64
@@ -61,23 +67,32 @@ type Cache struct {
 	Stats    Stats
 }
 
+// groupSets is how many consecutive sets share one lazily allocated
+// backing array (all of them when a level has fewer sets).
+const groupSets = 64
+
 // New builds a cache level. Sets and LineBytes must be powers of two.
 func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, rng: 0x243f6a8885a308d3}
-	// One flat backing array sub-sliced per set: set geometry is fixed for
-	// the cache's lifetime, and a single allocation (instead of one per
-	// set) keeps large hierarchies cheap to construct — the L3 alone has
-	// thousands of sets, which used to dominate machine-setup allocations.
 	c.sets = make([][]line, cfg.Sets)
-	backing := make([]line, cfg.Sets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
 	}
 	c.setMask = uint64(cfg.Sets - 1)
 	return c
+}
+
+// group allocates the ways of the group holding set idx and returns
+// that set. The last group is cut short when the set count is not a
+// multiple of groupSets.
+func (c *Cache) group(idx int) []line {
+	first, ways := idx-idx%groupSets, c.cfg.Ways
+	sets := c.sets[first:min(first+groupSets, len(c.sets))]
+	backing := make([]line, len(sets)*ways)
+	for k := range sets {
+		sets[k] = backing[k*ways : (k+1)*ways : (k+1)*ways]
+	}
+	return c.sets[idx]
 }
 
 // Config returns the level's configuration.
@@ -117,6 +132,9 @@ func (c *Cache) Contains(addr uint64) bool {
 // Fill inserts the line containing addr, evicting per policy.
 func (c *Cache) Fill(addr uint64) {
 	set, tag := c.locate(addr)
+	if len(set) == 0 {
+		set = c.group(int((addr >> c.lineBits) & c.setMask))
+	}
 	victim := 0
 	switch c.cfg.Repl {
 	case ReplLRU:

@@ -3,28 +3,34 @@ package cache
 import "sccsim/internal/snap"
 
 // EncodeSnapshot serializes one cache level: recency clock, replacement
-// RNG, stats, and every way of every set. Geometry (sets × ways) is
-// written as a header so a restore against a differently sized level
-// fails loudly instead of silently misaligning.
+// RNG, stats, and every line that differs from an empty one, as a
+// sparse table indexed set*ways+way. Geometry (sets × ways) is written
+// as a header so a restore against a differently sized level fails
+// loudly instead of silently misaligning.
 func (c *Cache) EncodeSnapshot(w *snap.Writer) {
 	w.U32(uint32(c.cfg.Sets))
 	w.U32(uint32(c.cfg.Ways))
 	w.U32(c.tick)
 	w.U64(c.rng)
 	w.Block(&c.Stats)
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			ln := &c.sets[i][j]
-			w.U64(ln.tag)
-			w.Bool(ln.valid)
-			w.U32(ln.lru)
+	t := w.Sparse(c.cfg.Sets * c.cfg.Ways)
+	for i, set := range c.sets {
+		for j, ln := range set {
+			if ln != (line{}) {
+				t.Entry(i*c.cfg.Ways + j)
+				w.U64(ln.tag)
+				w.Bool(ln.valid)
+				w.U32(ln.lru)
+			}
 		}
 	}
+	t.End()
 }
 
 // RestoreSnapshot fills a freshly built level of the same configuration
-// from the snapshot. Lines are written into the existing backing array
-// — geometry is fixed at New time, so no reallocation happens.
+// from the snapshot. Only the groups of sets the snapshot lists a line
+// in are allocated, so a restore never allocates more than the
+// configured geometry, whatever the input.
 func (c *Cache) RestoreSnapshot(r *snap.Reader) {
 	if sets, ways := int(r.U32()), int(r.U32()); sets != c.cfg.Sets || ways != c.cfg.Ways {
 		r.Errorf("cache: snapshot geometry %dx%d, level %q is %dx%d", sets, ways, c.cfg.Name, c.cfg.Sets, c.cfg.Ways)
@@ -33,13 +39,14 @@ func (c *Cache) RestoreSnapshot(r *snap.Reader) {
 	c.tick = r.U32()
 	c.rng = r.U64()
 	r.Block(&c.Stats)
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			ln := &c.sets[i][j]
-			ln.tag = r.U64()
-			ln.valid = r.Bool()
-			ln.lru = r.U32()
+	t := r.Sparse(c.cfg.Sets*c.cfg.Ways, 8+1+4) // tag, valid, lru
+	for t.Next() {
+		i, j := t.Index()/c.cfg.Ways, t.Index()%c.cfg.Ways
+		set := c.sets[i]
+		if len(set) == 0 {
+			set = c.group(i)
 		}
+		set[j] = line{tag: r.U64(), valid: r.Bool(), lru: r.U32()}
 	}
 }
 

@@ -2,13 +2,17 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sccsim/internal/pipeline"
 	"sccsim/internal/scc"
+	"sccsim/internal/snap"
 	"sccsim/internal/workloads"
 )
 
@@ -107,10 +111,13 @@ func TestSnapshotStoreReusedAcrossIntervalLengths(t *testing.T) {
 }
 
 // TestSnapshotStoreSelfHealingFallsBackToColdWarmup corrupts every
-// persisted snapshot slot between two sweeps: the second sweep must
-// detect the torn slots, delete them, fall back to a cold detailed
-// warmup, rewrite valid slots — and still produce byte-identical
-// results. The store is an accelerator, never a correctness dependency.
+// persisted snapshot slot between two sweeps, one of them into a slot
+// with an intact digest under the version-1 header that a store
+// written before the sparse format holds. The second sweep must count
+// every slot as a miss, delete the slots, fall back to a cold detailed
+// warmup, rewrite valid slots at the current version — and still equal
+// the serial estimate. The store is an accelerator, never a
+// correctness dependency.
 func TestSnapshotStoreSelfHealingFallsBackToColdWarmup(t *testing.T) {
 	w, _ := workloads.ByName("mcf")
 	cfg := pipeline.IcelakeSCC(scc.LevelFull)
@@ -118,6 +125,10 @@ func TestSnapshotStoreSelfHealingFallsBackToColdWarmup(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{MaxUops: 60_000, Parallel: 2, SnapshotDir: dir}
 
+	serial, err := SimPointEstimate(cfg, w, interval, k, Options{MaxUops: opts.MaxUops, Parallel: opts.Parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, err := SimPointEstimateSnapshot(cfg, w, interval, k, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -126,28 +137,62 @@ func TestSnapshotStoreSelfHealingFallsBackToColdWarmup(t *testing.T) {
 	if err != nil || len(slots) == 0 {
 		t.Fatalf("no snapshot slots persisted (err=%v)", err)
 	}
-	for _, p := range slots {
+	old := oldVersionSlot(t, slots[0])
+	if err := os.WriteFile(slots[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range slots[1:] {
 		if err := os.Truncate(p, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
 
+	misses := snapMet.misses.Value()
 	second, err := SimPointEstimateSnapshot(cfg, w, interval, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(second, first) {
-		t.Fatal("sweep over corrupted store diverged from the clean sweep")
+	if got := snapMet.misses.Value() - misses; got != int64(len(slots)) {
+		t.Fatalf("sweep over %d unusable slots counted %d misses", len(slots), got)
+	}
+	if !reflect.DeepEqual(second, first) || !reflect.DeepEqual(second, serial) {
+		t.Fatal("sweep over corrupted store diverged from the clean sweep or the serial estimate")
 	}
 	for _, p := range slots {
-		info, err := os.Stat(p)
+		data, err := os.ReadFile(p)
 		if err != nil {
 			continue // deleted and not re-needed: fine
 		}
-		if info.Size() <= 10 {
-			t.Fatalf("corrupt slot %s survived without being healed", p)
+		if err := snap.Verify(data); err != nil {
+			t.Fatalf("slot %s survived without being healed: %v", p, err)
 		}
 	}
+
+	// The store deletes a version-1 slot on the load that rejects it.
+	if err := os.WriteFile(slots[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	key := strings.TrimSuffix(filepath.Base(slots[0]), ".snap")
+	if snap.NewStore(dir, 0).Load(key) != nil {
+		t.Fatal("a version-1 slot loaded")
+	}
+	if _, err := os.Stat(slots[0]); !os.IsNotExist(err) {
+		t.Fatalf("version-1 slot not deleted on load (stat err %v)", err)
+	}
+}
+
+// oldVersionSlot re-seals the snapshot slot at path under the
+// version-1 header, with a digest that matches.
+func oldVersionSlot(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append([]byte(nil), data[:len(data)-sha256.Size]...)
+	binary.LittleEndian.PutUint32(body[8:12], 1) // after the 8-byte magic
+	sum := sha256.Sum256(body)
+	return append(body, sum[:]...)
 }
 
 // TestSnapshotShardFallsBackToColdWalk hands a shard a checkpoint that

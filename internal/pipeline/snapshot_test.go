@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -17,23 +18,32 @@ import (
 // fresh machine continues byte-identically to the original — same
 // stats, same architectural state, and (the strongest form) the same
 // snapshot bytes at the next boundary, which covers every serialized
-// field at once.
+// field at once. A just-restored machine snapshots to its input bytes.
+// It runs every value predictor's tables, with and without the
+// next-line prefetcher, on a kernel that touches few cache lines
+// (xalancbmk) and one that fills thousands (mcf).
 func TestSnapshotRoundTripAndContinue(t *testing.T) {
 	const interval = 20_000
-	w, _ := workloads.ByName("xalancbmk")
-	cfg := IcelakeSCC(scc.LevelFull)
+	for _, name := range []string{"xalancbmk", "mcf"} {
+		for _, vp := range []string{"eves", "h3vp", "lastvalue"} {
+			for _, prefetch := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/prefetch=%v", name, vp, prefetch), func(t *testing.T) {
+					w, _ := workloads.ByName(name)
+					cfg := IcelakeSCC(scc.LevelFull).WithValuePredictor(vp)
+					cfg.Hier.NextLinePrefetch = prefetch
+					snapshotRoundTrip(t, w, cfg, interval)
+				})
+			}
+		}
+	}
+}
 
-	m, err := New(cfg, w.Program())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.MemInit != nil {
-		w.MemInit(m.Oracle.Mem)
-	}
+func snapshotRoundTrip(t *testing.T, w workloads.Workload, cfg Config, interval uint64) {
+	m := workloadMachine(t, w, cfg)
 	// Warm through two boundaries, stopping at each like the serial
 	// SimPoint estimator does.
-	for i := 1; i <= 2; i++ {
-		m.Cfg.MaxUops = uint64(i) * interval
+	for i := uint64(1); i <= 2; i++ {
+		m.Cfg.MaxUops = i * interval
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -54,6 +64,9 @@ func TestSnapshotRoundTripAndContinue(t *testing.T) {
 	r, err := NewMachineFromSnapshot(cfg, w.Program(), data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if re, err := r.Snapshot(); err != nil || !bytes.Equal(re, data) {
+		t.Fatalf("a just-restored machine does not snapshot to its input bytes (err %v)", err)
 	}
 	if !reflect.DeepEqual(r.Stats, m.Stats) {
 		t.Fatalf("restored stats differ:\n restored %+v\n original %+v", r.Stats, m.Stats)
@@ -82,6 +95,27 @@ func TestSnapshotRoundTripAndContinue(t *testing.T) {
 	}
 	if !bytes.Equal(origSnap, restSnap) {
 		t.Fatal("machine state diverged after continuing from a restore (snapshot bytes differ)")
+	}
+}
+
+// TestFreshMachineSnapshotIsSmall guards the sparse format: a machine
+// that has run nothing has touched no table entry, so its snapshot
+// holds only fixed-size state. A table encoder that writes its whole
+// capacity again would cost hundreds of kilobytes here.
+func TestFreshMachineSnapshotIsSmall(t *testing.T) {
+	w, _ := workloads.ByName("xalancbmk")
+	for name, cfg := range map[string]Config{"icelake": Icelake(), "full SCC": IcelakeSCC(scc.LevelFull)} {
+		m, err := New(cfg, w.Program())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > 8<<10 {
+			t.Errorf("%s: fresh machine snapshots to %d bytes, want at most 8 KiB", name, len(data))
+		}
 	}
 }
 

@@ -158,13 +158,19 @@ func (j *job) cancelRequested() bool {
 
 // finish moves the job to a terminal state exactly once, appending the
 // final done event, releasing waiters and handing the record to the
-// server's retention. Returns false if the job was already terminal.
-func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte) bool {
+// server's retention. record runs once the transition has won, under
+// j.mu and before the terminal state is published, so every observer
+// of that state — a status poll, a wait:true response, the done event —
+// already finds the job in the server's metrics. record must not take
+// j.mu. Returns false, without running record, if the job was already
+// terminal.
+func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte, record func()) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
 		return false
 	}
+	record()
 	j.state = st
 	j.errMsg = errMsg
 	j.fromCache = fromCache
@@ -191,16 +197,20 @@ func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte
 // complete finalizes a successful run: interval events first (so SSE
 // subscribers receive the sampled series), then the done event. False
 // means a concurrent cancellation won the terminal transition.
-func (j *job) complete(manifest []byte, res *harness.RunResult) bool {
+func (j *job) complete(manifest []byte, res *harness.RunResult, record func()) bool {
 	for i := range res.Samples {
 		j.append(eventInterval, &res.Samples[i])
 	}
-	return j.finish(StateDone, "", res.FromCache, manifest)
+	return j.finish(StateDone, "", res.FromCache, manifest, record)
 }
 
-func (j *job) fail(msg string) bool { return j.finish(StateFailed, msg, false, nil) }
+func (j *job) fail(msg string, record func()) bool {
+	return j.finish(StateFailed, msg, false, nil, record)
+}
 
-func (j *job) finishCanceled() bool { return j.finish(StateCanceled, "canceled", false, nil) }
+func (j *job) finishCanceled(record func()) bool {
+	return j.finish(StateCanceled, "canceled", false, nil, record)
+}
 
 // traceID returns the job's trace id in hex ("" if untraced) — the
 // value latency exemplars and log lines carry.

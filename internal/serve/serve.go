@@ -489,8 +489,7 @@ func (s *Server) runLogger(j *job) *slog.Logger {
 // finishCanceled finalizes a cancellation exactly once, with the metric
 // and the lifecycle event.
 func (s *Server) finishCanceled(j *job, jlog *slog.Logger) {
-	if j.finishCanceled() {
-		s.met.canceled.Inc()
+	if j.finishCanceled(s.met.canceled.Inc) {
 		jlog.LogAttrs(context.Background(), slog.LevelInfo, "job canceled")
 	}
 }
@@ -502,8 +501,7 @@ func (s *Server) finishJob(j *job, res *harness.RunResult, err error, runWall ti
 		err = fmt.Errorf("run returned no result")
 	}
 	if err != nil {
-		if j.fail(err.Error()) {
-			s.met.failed.Inc()
+		if j.fail(err.Error(), s.met.failed.Inc) {
 			s.jobLogger(j).LogAttrs(context.Background(), slog.LevelWarn, "job failed",
 				slog.String("error", err.Error()))
 		}
@@ -513,16 +511,26 @@ func (s *Server) finishJob(j *job, res *harness.RunResult, err error, runWall ti
 	man, mErr := encodeManifest(res)
 	fspan.End()
 	if mErr != nil {
-		if j.fail(mErr.Error()) {
-			s.met.failed.Inc()
+		if j.fail(mErr.Error(), s.met.failed.Inc) {
 			s.jobLogger(j).LogAttrs(context.Background(), slog.LevelWarn, "job failed",
 				slog.String("error", mErr.Error()))
 		}
 		return
 	}
-	if !j.complete(man, res) {
+	var latency time.Duration
+	if !j.complete(man, res, func() { latency = s.recordCompleted(j, res, runWall) }) {
 		return
 	}
+	s.jobLogger(j).LogAttrs(context.Background(), slog.LevelInfo, "job done",
+		slog.String("config_hash", j.hash[:12]),
+		slog.Bool("from_cache", res.FromCache),
+		slog.Float64("latency_ms", latency.Seconds()*1e3))
+}
+
+// recordCompleted counts a completed job — completion, cache hit or
+// miss, run time for a simulated result, latency with the job's trace
+// id as exemplar — and returns the latency it recorded.
+func (s *Server) recordCompleted(j *job, res *harness.RunResult, runWall time.Duration) time.Duration {
 	s.met.completed.Inc()
 	if s.cfg.CacheDir != "" {
 		if res.FromCache {
@@ -536,10 +544,7 @@ func (s *Server) finishJob(j *job, res *harness.RunResult, err error, runWall ti
 	}
 	latency := time.Since(j.submitted)
 	s.met.observeLatency(latency, j.traceID())
-	s.jobLogger(j).LogAttrs(context.Background(), slog.LevelInfo, "job done",
-		slog.String("config_hash", j.hash[:12]),
-		slog.Bool("from_cache", res.FromCache),
-		slog.Float64("latency_ms", latency.Seconds()*1e3))
+	return latency
 }
 
 // cancelJob requests cancellation: a queued job is finalized on the
@@ -591,10 +596,7 @@ func (s *Server) probeCache(j *job) bool {
 	if err != nil {
 		return false
 	}
-	if j.complete(man, res) {
-		s.met.cacheHits.Inc()
-		s.met.completed.Inc()
-		s.met.observeLatency(time.Since(j.submitted), j.traceID())
+	if j.complete(man, res, func() { s.recordCompleted(j, res, 0) }) {
 		s.jobLogger(j).LogAttrs(context.Background(), slog.LevelInfo, "job done",
 			slog.String("config_hash", j.hash[:12]),
 			slog.Bool("from_cache", true))

@@ -219,43 +219,58 @@ func TestTraceNormalizedByteStable(t *testing.T) {
 
 // TestLatencyExemplarResolvesToTrace closes the tail-latency loop: the
 // Prometheus exposition's latency buckets carry a trace_id exemplar, and
-// that id resolves to a retrievable trace.
+// that id resolves to a retrievable trace. The server records a job's
+// metrics before it publishes the job's terminal state, so a scrape made
+// right after each of many sequential jobs is seen done — alternately by
+// a wait:true response and by a status poll — already counts that job
+// and carries its trace id as the exemplar of its latency bucket.
 func TestLatencyExemplarResolvesToTrace(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	st, resp := postJobHdr(t, ts, `{"workload":"mcf","max_uops":10000,"wait":true}`, nil)
-	if st == nil {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-
-	code, raw := get(t, ts.URL+"/metrics.prom")
-	if code != http.StatusOK {
-		t.Fatalf("scrape status %d", code)
-	}
-	exp, err := telemetry.ParseExposition(raw)
-	if err != nil {
-		t.Fatalf("exposition does not validate: %v", err)
-	}
-	var exemplarTrace string
-	for series, ex := range exp.Exemplars {
-		if strings.HasPrefix(series, "sccserve_job_latency_seconds_bucket") {
-			exemplarTrace = ex.Labels["trace_id"]
+	const jobs = 50
+	var st *JobStatus
+	for i := 1; i <= jobs; i++ {
+		body := `{"workload":"mcf","max_uops":2000,"wait":true}`
+		if i%2 == 0 {
+			body = `{"workload":"mcf","max_uops":2000}`
 		}
-	}
-	if exemplarTrace == "" {
-		t.Fatalf("no latency exemplar in the exposition:\n%s", raw)
-	}
-	if exemplarTrace != st.TraceID {
-		t.Errorf("exemplar trace id = %q, want the job's %q", exemplarTrace, st.TraceID)
+		var resp *http.Response
+		st, resp = postJobHdr(t, ts, body, nil)
+		if st == nil {
+			t.Fatalf("job %d: submit status %d", i, resp.StatusCode)
+		}
+		if i%2 == 0 {
+			st = waitState(t, ts, st.ID, StateDone)
+		}
+		code, raw := get(t, ts.URL+"/metrics.prom")
+		if code != http.StatusOK {
+			t.Fatalf("job %d: scrape status %d", i, code)
+		}
+		exp, err := telemetry.ParseExposition(raw)
+		if err != nil {
+			t.Fatalf("job %d: exposition does not validate: %v", i, err)
+		}
+		if got := exp.Samples["sccserve_jobs_completed_total"]; got != float64(i) {
+			t.Fatalf("job %d: scrape after it was seen done counts %v completed jobs", i, got)
+		}
+		found := false
+		for series, ex := range exp.Exemplars {
+			if strings.HasPrefix(series, "sccserve_job_latency_seconds_bucket") && ex.Labels["trace_id"] == st.TraceID {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("job %d: no latency exemplar carries its trace id %q:\n%s", i, st.TraceID, raw)
+		}
 	}
 	code, traceRaw := get(t, ts.URL+"/v1/jobs/"+st.ID+"/trace")
 	if code != http.StatusOK {
 		t.Fatalf("exemplar's trace is not retrievable: status %d", code)
 	}
-	if !bytes.Contains(traceRaw, []byte(exemplarTrace)) {
+	if !bytes.Contains(traceRaw, []byte(st.TraceID)) {
 		t.Error("retrieved trace does not carry the exemplar's trace id")
 	}
 }

@@ -25,8 +25,9 @@ import (
 
 // Version is the snapshot format version. Any change to what a
 // component encoder writes must bump it: a reader never attempts to
-// decode a payload from another version.
-const Version = 1
+// decode a payload from another version. Version 2 writes every
+// fixed-size table sparsely (Writer.Sparse).
+const Version = 2
 
 // magic identifies a snapshot file; 8 bytes so the header stays aligned.
 var magic = [8]byte{'S', 'C', 'C', 'S', 'N', 'A', 'P', '1'}
@@ -101,26 +102,44 @@ func (w *Writer) U64s(v []uint64) {
 	}
 }
 
-// U16s writes a length-prefixed slice of u16.
-func (w *Writer) U16s(v []uint16) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.U16(x)
-	}
+// SparseWriter writes one fixed-size table sparsely: the table length,
+// the number of entries written, then each written entry as its u32
+// index followed by the entry's fields. An encoder writes only the
+// entries that differ from the value the table's constructor gives
+// them (zero for every table today), so a table costs bytes in
+// proportion to the state a run touched, not to its capacity.
+type SparseWriter struct {
+	w     *Writer
+	size  int
+	at    int // offset of the entry count, patched by End
+	count uint32
+	next  int // smallest index the next entry may take
 }
 
-// I8s writes a length-prefixed slice of i8.
-func (w *Writer) I8s(v []int8) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.I8(x)
-	}
+// Sparse starts a sparse table of size entries.
+func (w *Writer) Sparse(size int) SparseWriter {
+	w.U32(uint32(size))
+	t := SparseWriter{w: w, size: size, at: len(w.buf)}
+	w.U32(0)
+	return t
 }
 
-// U8s writes a length-prefixed slice of u8.
-func (w *Writer) U8s(v []uint8) {
-	w.U32(uint32(len(v)))
-	w.buf = append(w.buf, v...)
+// Entry writes index i; the caller writes the entry's fields next.
+// Indices must be strictly ascending and inside the table.
+func (t *SparseWriter) Entry(i int) {
+	if i < t.next || i >= t.size {
+		// Encoders walk their tables in order; anything else is a
+		// programming error, not a runtime condition.
+		panic(fmt.Sprintf("snap: sparse index %d not in [%d, %d)", i, t.next, t.size))
+	}
+	t.next = i + 1
+	t.count++
+	t.w.U32(uint32(i))
+}
+
+// End writes the entry count into the table's header.
+func (t *SparseWriter) End() {
+	binary.LittleEndian.PutUint32(t.w.buf[t.at:], t.count)
 }
 
 // Block writes a fixed-size struct (exported fields only, no pointers,
@@ -297,30 +316,51 @@ func (r *Reader) U64sInto(dst []uint64) {
 	}
 }
 
-// U16sInto fills dst from a slice written by U16s.
-func (r *Reader) U16sInto(dst []uint16) {
-	r.Len(len(dst))
-	for i := range dst {
-		dst[i] = r.U16()
-	}
+// SparseReader reads a table written by SparseWriter. Entries the
+// table does not list keep the value the decoder's constructor gave
+// them, so a sparse table restores onto a freshly built component.
+type SparseReader struct {
+	r     *Reader
+	size  int
+	left  int
+	next  int // smallest index the next entry may take
+	index int
 }
 
-// I8sInto fills dst from a slice written by I8s.
-func (r *Reader) I8sInto(dst []int8) {
-	r.Len(len(dst))
-	for i := range dst {
-		dst[i] = r.I8()
-	}
+// Sparse starts reading a sparse table that the decoder sizes at size
+// entries, each encoding to at least entryBytes bytes after its index.
+// A stored length other than size, or an entry count the payload left
+// cannot hold (Count), poisons the reader with ErrMalformed.
+func (r *Reader) Sparse(size, entryBytes int) SparseReader {
+	r.Len(size)
+	return SparseReader{r: r, size: size, left: r.Count(4 + entryBytes)}
 }
 
-// U8sInto fills dst from a slice written by U8s.
-func (r *Reader) U8sInto(dst []uint8) {
-	r.Len(len(dst))
-	b := r.take(len(dst))
-	if b != nil {
-		copy(dst, b)
+// Next reads the next entry's index and reports whether there is one;
+// the caller then reads the entry's fields and stores them at Index.
+// An index that is not above the previous one, or that lies outside
+// the table, poisons the reader with ErrMalformed. Next returns false
+// once every entry is read or the reader is poisoned.
+func (t *SparseReader) Next() bool {
+	if t.left == 0 {
+		return false
 	}
+	t.left--
+	i := t.r.U32()
+	if t.r.err != nil {
+		return false
+	}
+	if int64(i) < int64(t.next) || int64(i) >= int64(t.size) {
+		t.r.err = fmt.Errorf("%w: sparse index %d not in [%d, %d)", ErrMalformed, i, t.next, t.size)
+		return false
+	}
+	t.index = int(i)
+	t.next = t.index + 1
+	return true
 }
+
+// Index is the table index of the entry Next just read.
+func (t *SparseReader) Index() int { return t.index }
 
 // Block reads a fixed-size struct written by Writer.Block; v must be a
 // pointer to the same struct type.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -24,9 +25,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	w.String("warmup")
 	w.Raw([]byte{1, 2, 3})
 	w.U64s([]uint64{9, 8})
-	w.U16s([]uint16{5})
-	w.I8s([]int8{-1, 0, 1})
-	w.U8s([]uint8{4, 4})
+	writeU16Table(w, []uint16{0, 5, 0, 0, 7})
 	data := w.Finish()
 
 	r, err := NewReader(data)
@@ -71,15 +70,48 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if u64s[0] != 9 || u64s[1] != 8 {
 		t.Fatalf("U64s = %v", u64s)
 	}
-	u16s := make([]uint16, 1)
-	r.U16sInto(u16s)
-	i8s := make([]int8, 3)
-	r.I8sInto(i8s)
-	u8s := make([]uint8, 2)
-	r.U8sInto(u8s)
+	u16s := make([]uint16, 5)
+	readU16Table(r, u16s)
+	if want := []uint16{0, 5, 0, 0, 7}; !reflect.DeepEqual(u16s, want) {
+		t.Fatalf("sparse table = %v, want %v", u16s, want)
+	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeU16Table and readU16Table are the sparse encoder and decoder of
+// a table of u16 entries, the shape every component table uses.
+func writeU16Table(w *Writer, tbl []uint16) {
+	t := w.Sparse(len(tbl))
+	for i, v := range tbl {
+		if v != 0 {
+			t.Entry(i)
+			w.U16(v)
+		}
+	}
+	t.End()
+}
+
+func readU16Table(r *Reader, tbl []uint16) {
+	t := r.Sparse(len(tbl), 2)
+	for t.Next() {
+		tbl[t.Index()] = r.U16()
+	}
+}
+
+// sparsePayload seals a hand-built sparse table of u16 entries: the
+// table length, the entry count, then index/value pairs, so tests can
+// write what SparseWriter refuses to.
+func sparsePayload(size, count uint32, entries ...uint32) []byte {
+	w := NewWriter()
+	w.U32(size)
+	w.U32(count)
+	for k := 0; k+1 < len(entries); k += 2 {
+		w.U32(entries[k])
+		w.U16(uint16(entries[k+1]))
+	}
+	return w.Finish()
 }
 
 func TestReaderPoisonsOnUnderrunAndLengthMismatch(t *testing.T) {
@@ -137,6 +169,39 @@ func TestReaderPoisonsOnUnderrunAndLengthMismatch(t *testing.T) {
 	}
 	if n := r4.Count(8); n != 2 || r4.Err() != nil {
 		t.Fatalf("Count(8) = %d (err %v), want 2", n, r4.Err())
+	}
+
+	// Sparse tables: the decoder sizes the table at 4 u16 entries. Each
+	// hostile shape is refused with ErrMalformed before a value lands
+	// outside the table.
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"repeated index", sparsePayload(4, 2, 1, 10, 1, 11)},
+		{"descending index", sparsePayload(4, 2, 2, 10, 1, 11)},
+		{"out-of-range index", sparsePayload(4, 1, 4, 10)},
+		{"count past payload", sparsePayload(4, 3, 0, 10)},
+		{"table length mismatch", sparsePayload(5, 1, 0, 10)},
+	} {
+		r, err := NewReader(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readU16Table(r, make([]uint16, 4))
+		if !errors.Is(r.Err(), ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", tc.name, r.Err())
+		}
+	}
+	// The well-formed neighbour of those rows decodes.
+	r5, err := NewReader(sparsePayload(4, 2, 1, 10, 3, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]uint16, 4)
+	readU16Table(r5, got)
+	if r5.Err() != nil || !reflect.DeepEqual(got, []uint16{0, 10, 0, 11}) {
+		t.Fatalf("well-formed sparse table = %v (err %v)", got, r5.Err())
 	}
 }
 
