@@ -58,7 +58,7 @@ func TestCLIRejectsInvalidLogLevel(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	for _, tool := range []string{"sccsim", "sccbench", "scctrace", "sccdiff", "sccserve"} {
+	for _, tool := range []string{"sccsim", "sccbench", "sccdiff", "sccserve"} {
 		tool := tool
 		t.Run(tool, func(t *testing.T) {
 			t.Parallel()
@@ -72,6 +72,52 @@ func TestCLIRejectsInvalidLogLevel(t *testing.T) {
 			if !strings.Contains(string(out), "unknown log level") ||
 				!strings.Contains(string(out), "debug|info|warn|error") {
 				t.Errorf("%s stderr does not name the valid log levels:\n%s", tool, out)
+			}
+		})
+	}
+}
+
+// TestCLIRejectsBadSimFlags pins sccsim's usage errors (exit 2) for
+// values it cannot run: -top without the SCC unit it dumps or with a
+// negative count, an -scc-level off the 0..5 ladder (9 used to run
+// silently as full SCC), and flags that build a configuration
+// pipeline.Config.Validate rejects (they used to panic mid-run). Each
+// invocation would be a real run when valid, so a pass proves
+// validation fires before any simulation starts.
+func TestCLIRejectsBadSimFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI builds in -short mode")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	cases := []struct {
+		name string
+		args []string
+		msg  string
+	}{
+		{"top-negative", []string{"-enable-superoptimization", "-top", "-1"}, "-top must be >= 0"},
+		{"top-without-scc", []string{"-top", "3"}, "-top needs -enable-superoptimization"},
+		{"top-level-1", []string{"-enable-superoptimization", "-scc-level", "1", "-top", "3"}, "-top needs -scc-level >= 2"},
+		{"level-9", []string{"-enable-superoptimization", "-scc-level", "9"}, "-scc-level must be 0..5"},
+		{"level-negative", []string{"-enable-superoptimization", "-scc-level", "-1"}, "-scc-level must be 0..5"},
+		{"const-width-0", []string{"-enable-superoptimization", "-const-width", "0"}, "SCC.ConstWidthBits = 0"},
+		{"opt-sets-48", []string{"-enable-superoptimization", "-specCacheNumSets", "48"}, "UC.UnoptSets = 0"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			args := append([]string{"run", "./cmd/sccsim", "-workload", "xalancbmk", "-max-uops", "3000"}, tc.args...)
+			out, err := exec.Command("go", args...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("sccsim accepted %v:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), "exit status 2") {
+				t.Errorf("sccsim %v did not exit with usage error 2:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), tc.msg) {
+				t.Errorf("sccsim %v stderr missing %q:\n%s", tc.args, tc.msg, out)
 			}
 		})
 	}

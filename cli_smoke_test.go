@@ -26,7 +26,7 @@ func TestCLIVersionFlag(t *testing.T) {
 	extra := map[string][]string{
 		"sccbench": {"-snapshot-dir", "snapcache", "-snapshot-max-bytes", "1048576"},
 	}
-	for _, tool := range []string{"sccsim", "sccbench", "scctrace", "sccdiff", "sccserve"} {
+	for _, tool := range []string{"sccsim", "sccbench", "sccdiff", "sccserve"} {
 		tool := tool
 		t.Run(tool, func(t *testing.T) {
 			t.Parallel()
@@ -48,11 +48,11 @@ func TestCLIVersionFlag(t *testing.T) {
 	}
 }
 
-// TestCLIMetricsDump runs a real (tiny) simulation through each
+// TestCLIMetricsDump runs a real (tiny) simulation through the
 // single-run command with -metrics-dump - and validates the emitted
 // Prometheus exposition: it must parse under the scraper's structural
 // rules and carry the runner's job counters for the run that just
-// happened — both commands schedule their run through the runner.
+// happened — sccsim schedules its run through the runner.
 func TestCLIMetricsDump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI builds in -short mode")
@@ -60,7 +60,7 @@ func TestCLIMetricsDump(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	for _, tool := range []string{"sccsim", "scctrace"} {
+	for _, tool := range []string{"sccsim"} {
 		tool := tool
 		t.Run(tool, func(t *testing.T) {
 			t.Parallel()

@@ -338,16 +338,7 @@ func (a *artifacts) finish(name string, sum *sccsim.SweepSummary) error {
 		return nil
 	}
 	for _, i := range idxs {
-		r := a.results[i]
-		man := r.Manifest()
-		if i < len(sum.Jobs) {
-			js := sum.Jobs[i]
-			man.Timing = &obs.Timing{
-				WallMS:     js.Wall.Seconds() * 1e3,
-				UopsPerSec: js.UopsPerSec(),
-				Workers:    sum.Workers,
-			}
-		}
+		man := a.results[i].Manifest()
 		// Content-addressed name (the result cache's): identical
 		// (workload, config) runs from different experiments produce
 		// identical stats, so overwriting is idempotent by construction.

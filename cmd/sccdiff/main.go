@@ -59,9 +59,8 @@ func main() {
 		strict     = flag.Bool("strict", false, "exit 1 when base entries are missing from new (baseline-coverage loss)")
 		version    = flag.Bool("version", false, "print the simulator version and exit")
 
-		logLevel    = flag.String("log-level", "warn", "structured log threshold on stderr: "+telemetry.LogLevels)
-		logFormat   = flag.String("log-format", "text", "structured log encoding: "+telemetry.LogFormats)
-		metricsDump = flag.String("metrics-dump", "", "write the Prometheus metrics exposition to this path at exit (\"-\" = stdout)")
+		logLevel  = flag.String("log-level", "warn", "structured log threshold on stderr: "+telemetry.LogLevels)
+		logFormat = flag.String("log-format", "text", "structured log encoding: "+telemetry.LogFormats)
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sccdiff [flags] <base-index> <new-index>\n")
@@ -153,10 +152,8 @@ func main() {
 		if rep.Regressions > 0 {
 			logger.Warn("metric regressions found", "regressions", rep.Regressions)
 		}
-		dumpMetrics(*metricsDump)
 		os.Exit(1)
 	}
-	dumpMetrics(*metricsDump)
 }
 
 // explainEntries attributes the regressed (or, with all, every matched)
@@ -202,15 +199,4 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-// dumpMetrics writes the -metrics-dump exposition; sccdiff exits via
-// os.Exit so defers cannot run it.
-func dumpMetrics(path string) {
-	if path == "" {
-		return
-	}
-	if err := telemetry.DumpMetrics(path, telemetry.Default()); err != nil {
-		fmt.Fprintf(os.Stderr, "sccdiff: %v\n", err)
-	}
 }

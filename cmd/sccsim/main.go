@@ -6,6 +6,7 @@
 //
 //	sccsim -workload xalancbmk                          # baseline
 //	sccsim -workload xalancbmk -enable-superoptimization
+//	sccsim -workload xalancbmk -enable-superoptimization -top 5
 //	sccsim -program my.uxa -enable-superoptimization -lvpred h3vp
 //	sccsim -workload mcf -json run.json -trace run.trace
 //	sccsim -list
@@ -13,8 +14,11 @@
 // -json writes the machine-readable run manifest (config, stats, energy,
 // interval-sampled telemetry); -trace writes a Chrome trace-event file
 // viewable in Perfetto. Either flag enables interval sampling (every
-// -sample-interval committed uops). -cpuprofile/-memprofile profile the
-// simulator itself.
+// -sample-interval committed uops). -top N follows the report with the
+// SCC unit's summary and the N most-streamed compacted lines of the
+// optimized partition: their micro-ops, invariants and confidences,
+// live-outs and hotness. -cpuprofile/-memprofile profile the simulator
+// itself.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 	"sccsim/internal/asm"
 	"sccsim/internal/harness"
 	"sccsim/internal/obs"
+	"sccsim/internal/pipeline"
 	"sccsim/internal/runner"
 	"sccsim/internal/scc"
 	"sccsim/internal/stats"
@@ -50,6 +55,7 @@ func run() int {
 		width    = flag.Int("const-width", 64, "inlined-constant width in bits (8/16/32/64)")
 		maxUops  = flag.Uint64("max-uops", 0, "program-work budget in micro-ops (0 = workload default)")
 		verbose  = flag.Bool("v", false, "print the full counter dump")
+		top      = flag.Int("top", 0, "after the report, dump the N most-streamed compacted lines (needs -enable-superoptimization, -scc-level >= 2)")
 
 		version   = flag.Bool("version", false, "print the simulator version and exit")
 		jsonPath  = flag.String("json", "", "write the JSON run manifest to this path")
@@ -89,12 +95,42 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sccsim: -pipeview-limit must be positive (got %d)\n", *pipeviewN)
 		return 2
 	}
+	if *level < int(scc.LevelBaseline) || *level > int(scc.LevelFull) {
+		fmt.Fprintf(os.Stderr, "sccsim: -scc-level must be 0..5 (got %d)\n", *level)
+		return 2
+	}
+	switch {
+	case *top < 0:
+		fmt.Fprintf(os.Stderr, "sccsim: -top must be >= 0 (got %d)\n", *top)
+		return 2
+	case *top > 0 && !*enable:
+		fmt.Fprintln(os.Stderr, "sccsim: -top needs -enable-superoptimization (it dumps the SCC unit's lines)")
+		return 2
+	case *top > 0 && *level < int(scc.LevelMoveElim):
+		fmt.Fprintf(os.Stderr, "sccsim: -top needs -scc-level >= 2 (level %d has no SCC unit)\n", *level)
+		return 2
+	}
 
 	if *list {
 		for _, w := range sccsim.Workloads() {
 			fmt.Printf("%-14s %-7s %-16s %s\n", w.Name, w.Suite, w.Class, w.Description)
 		}
 		return 0
+	}
+
+	cfg := sccsim.BaselineConfig()
+	if *enable {
+		cfg = sccsim.SCCConfig(scc.Level(*level)).
+			WithValuePredictor(*lvpred).
+			WithConstWidth(*width).
+			WithPartitionSplit(*optSets)
+		cfg.SCC.VPConfThreshold = *confThr
+	} else {
+		cfg = cfg.WithValuePredictor(*lvpred)
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
+		return 2
 	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
@@ -108,17 +144,6 @@ func run() int {
 		}
 	}()
 
-	cfg := sccsim.BaselineConfig()
-	if *enable {
-		cfg = sccsim.SCCConfig(scc.Level(*level)).
-			WithValuePredictor(*lvpred).
-			WithConstWidth(*width).
-			WithPartitionSplit(*optSets)
-		cfg.SCC.VPConfThreshold = *confThr
-	} else {
-		cfg = cfg.WithValuePredictor(*lvpred)
-	}
-
 	opts := sccsim.Options{MaxUops: *maxUops, Logger: logger}
 	if *jsonPath != "" || *tracePath != "" {
 		opts.SampleEvery = *sampleIv
@@ -127,7 +152,13 @@ func run() int {
 	var tracer *obs.PipeTracer
 	if *pipeview != "" {
 		tracer = obs.NewPipeTracer(*pipeviewN)
-		opts.Observe = tracer.Attach
+	}
+	var m *pipeline.Machine // the run's machine, which -top inspects
+	opts.Observe = func(pm *pipeline.Machine) {
+		m = pm
+		if tracer != nil {
+			tracer.Attach(pm)
+		}
 	}
 	var spanTracer *tracing.Tracer
 	if *traceOut != "" {
@@ -156,6 +187,9 @@ func run() int {
 		return 1
 	}
 	report(res, *verbose)
+	if *top > 0 {
+		writeTop(os.Stdout, res, m.UC.Opt, *top)
+	}
 	var spans []tracing.SpanData
 	if spanTracer != nil {
 		spanTracer.Finish()
@@ -198,14 +232,6 @@ func run() int {
 func writeArtifacts(res *harness.RunResult, sum *runner.Summary, jsonPath, tracePath string, spans []tracing.SpanData) error {
 	if jsonPath != "" {
 		man := res.Manifest()
-		if sum != nil && len(sum.Jobs) > 0 {
-			js := sum.Jobs[0]
-			man.Timing = &obs.Timing{
-				WallMS:     js.Wall.Seconds() * 1e3,
-				UopsPerSec: js.UopsPerSec(),
-				Workers:    sum.Workers,
-			}
-		}
 		if err := man.WriteFile(jsonPath); err != nil {
 			return err
 		}

@@ -49,9 +49,8 @@ type RunResult struct {
 	FromCache bool
 }
 
-// Manifest assembles the run's machine-readable JSON artifact. Attach
-// wall-clock telemetry (nondeterministic) via the Timing field afterwards
-// if wanted; everything Manifest itself fills is deterministic.
+// Manifest assembles the run's machine-readable JSON artifact. Everything
+// it fills except the VCS stamp is deterministic.
 func (r *RunResult) Manifest() *obs.Manifest {
 	m := obs.NewManifest(r.Workload, r.Config, r.Stats, r.Energy, r.Mem, r.Unit, r.Samples)
 	if r.OptReport != nil {
@@ -259,24 +258,19 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 	simCtx, simSpan := tracing.Start(ctx, "harness.simulate")
 	var sampler *obs.Sampler
 	if opts.SampleEvery > 0 {
-		sampler = obs.NewSampler(opts.SampleEvery)
-		if tr, _ := tracing.FromContext(simCtx); tr != nil {
-			// Traced run: wrap the sampler so every closed interval becomes
-			// a child span of the simulate span — the trace-side view of the
-			// manifest's Samples series.
-			interval := 0
-			s := sampler
-			m.SetSampleHook(s.Every(), func(cur pipeline.Stats) {
-				_, isp := tracing.Start(simCtx, "sample.interval",
-					tracing.Int("interval", int64(interval)),
-					tracing.Uint64("end_uops", cur.CommittedUops))
-				s.Observe(cur)
-				isp.End()
-				interval++
-			})
-		} else {
-			sampler.Attach(m)
-		}
+		// Every closed interval is also a child span of the simulate span
+		// (a no-op on an untraced run) — the trace-side view of the
+		// manifest's Samples series.
+		sampler = new(obs.Sampler)
+		interval := 0
+		m.SetSampleHook(opts.SampleEvery, func(cur pipeline.Stats) {
+			_, isp := tracing.Start(simCtx, "sample.interval",
+				tracing.Int("interval", int64(interval)),
+				tracing.Uint64("end_uops", cur.CommittedUops))
+			sampler.Observe(cur)
+			isp.End()
+			interval++
+		})
 	}
 	if rlog != nil {
 		rlog.LogAttrs(context.Background(), slog.LevelDebug, "harness run start",
@@ -374,8 +368,7 @@ func RunOne(cfg pipeline.Config, w workloads.Workload, opts Options) (*RunResult
 }
 
 // RunOneTimed is RunOne plus the scheduler's telemetry summary for the
-// single-job sweep — what the CLIs feed the trace exporter and the
-// manifest's Timing section.
+// single-job sweep — what sccsim feeds the trace exporter.
 func RunOneTimed(cfg pipeline.Config, w workloads.Workload, opts Options) (*RunResult, *runner.Summary, error) {
 	res, sum, err := sweep(opts, []runner.Job[*RunResult]{job(cfg, w, opts)})
 	if err != nil {

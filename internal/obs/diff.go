@@ -168,16 +168,6 @@ func DiffIndexes(base, cur *Index, th DiffThresholds) *DiffReport {
 		en.Regressed = en.Rel > th.EnergyRise
 
 		ed.Deltas = []MetricDelta{ipc, elim, en}
-		// Simulator throughput rides along informationally when both sides
-		// recorded it: wall-clock rates are machine- and load-dependent, so
-		// the column never gates (Regressed stays false), but it makes
-		// host-side perf movement visible right in the CI diff.
-		if b.UopsPerSec > 0 && c.UopsPerSec > 0 {
-			tp := MetricDelta{Name: "uops_per_sec", Base: b.UopsPerSec, New: c.UopsPerSec,
-				Delta: c.UopsPerSec - b.UopsPerSec}
-			tp.Rel = rel(tp.Delta, tp.Base)
-			ed.Deltas = append(ed.Deltas, tp)
-		}
 		ed.Regressed = ipc.Regressed || elim.Regressed || en.Regressed
 		if ed.Regressed {
 			rep.Regressions++

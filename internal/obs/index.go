@@ -21,8 +21,6 @@ type IndexEntry struct {
 	EnergyJ             float64 `json:"energy_j"`
 	CPIRetiring         float64 `json:"cpi_retiring"`
 	SampleIntervals     int     `json:"sample_intervals"`
-	WallMS              float64 `json:"wall_ms,omitempty"`
-	UopsPerSec          float64 `json:"uops_per_sec,omitempty"`
 }
 
 // Index aggregates the manifests a sweep directory holds (sccbench -json
@@ -40,7 +38,7 @@ func NewIndex() *Index {
 
 // Add records one written manifest under the experiment that produced it.
 func (ix *Index) Add(file, experiment string, m *Manifest) {
-	e := IndexEntry{
+	ix.Entries = append(ix.Entries, IndexEntry{
 		File:                file,
 		Experiment:          experiment,
 		Workload:            m.Workload,
@@ -51,12 +49,7 @@ func (ix *Index) Add(file, experiment string, m *Manifest) {
 		EnergyJ:             m.Derived.EnergyJ,
 		CPIRetiring:         m.Derived.CPIStack.Retiring,
 		SampleIntervals:     len(m.Samples),
-	}
-	if m.Timing != nil {
-		e.WallMS = m.Timing.WallMS
-		e.UopsPerSec = m.Timing.UopsPerSec
-	}
-	ix.Entries = append(ix.Entries, e)
+	})
 }
 
 // Encode writes the index as indented JSON.

@@ -18,8 +18,8 @@ import (
 // Manifest is the machine-readable artifact of one (workload,
 // configuration) run: everything a result cache, a BENCH trajectory, or
 // a downstream service needs to reuse the measurement without re-running
-// it. All fields except Timing and GitRevision are deterministic for a
-// given simulator version, so manifests are byte-stable across runs and
+// it. All fields except GitRevision are deterministic for a given
+// simulator version, so manifests are byte-stable across runs and
 // across -parallel settings once Normalize is applied.
 type Manifest struct {
 	Schema      int    `json:"schema"`
@@ -43,14 +43,10 @@ type Manifest struct {
 	Samples []Interval `json:"samples,omitempty"`
 
 	// SCCReport is the compact SCC-journal summary (present when the run
-	// collected an opt-report). Like Timing it is observational metadata:
-	// Normalize strips it so journal-on and journal-off manifests of the
-	// same run compare byte-identical.
+	// collected an opt-report). It is observational metadata: Normalize
+	// strips it so journal-on and journal-off manifests of the same run
+	// compare byte-identical.
 	SCCReport *SCCReportSummary `json:"scc_report,omitempty"`
-
-	// Timing is wall-clock metadata — deliberately nondeterministic and
-	// therefore split out so Normalize can strip it for byte comparisons.
-	Timing *Timing `json:"timing,omitempty"`
 }
 
 // Derived holds the headline metrics recomputed from Stats for direct
@@ -109,13 +105,6 @@ type ElimBreakdown struct {
 	Propagated uint64 `json:"propagated"`
 }
 
-// Timing is the run's wall-clock telemetry from the sweep scheduler.
-type Timing struct {
-	WallMS     float64 `json:"wall_ms"`
-	UopsPerSec float64 `json:"uops_per_sec"`
-	Workers    int     `json:"workers,omitempty"`
-}
-
 // NewManifest assembles the manifest for one finished run. The config
 // must be the effective one (work budget applied), i.e. Machine.Cfg.
 func NewManifest(workload string, cfg pipeline.Config, st *pipeline.Stats,
@@ -155,8 +144,8 @@ func NewManifest(workload string, cfg pipeline.Config, st *pipeline.Stats,
 }
 
 // ConfigHash content-addresses a (workload, configuration) pair under the
-// current simulator version: equal hashes imply byte-identical manifests
-// (modulo Timing), which is what makes manifests safe to use as result-
+// current simulator version: equal hashes imply byte-identical normalized
+// manifests, which is what makes manifests safe to use as result-
 // cache keys and idempotent to overwrite.
 func ConfigHash(workload string, cfg pipeline.Config) string {
 	key, err := json.Marshal(struct {
@@ -173,12 +162,11 @@ func ConfigHash(workload string, cfg pipeline.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Normalize strips the nondeterministic and observational fields (wall-
-// clock timing, VCS stamp, journal summary) so two manifests of the same
-// run compare byte-identical regardless of which observers were attached.
-// It returns the manifest for chaining.
+// Normalize strips the nondeterministic and observational fields (VCS
+// stamp, journal summary) so two manifests of the same run compare
+// byte-identical regardless of which observers were attached. It returns
+// the manifest for chaining.
 func (m *Manifest) Normalize() *Manifest {
-	m.Timing = nil
 	m.GitRevision = ""
 	m.SCCReport = nil
 	return m

@@ -8,8 +8,8 @@
 // measurements, and traces re-render scheduler telemetry. None of it
 // feeds back into simulation results, so enabling observability never
 // perturbs determinism — the manifests themselves are byte-stable across
-// runs and across -parallel settings once the wall-clock Timing section
-// is stripped (Manifest.Normalize).
+// runs and across -parallel settings once Manifest.Normalize strips the
+// VCS stamp and the journal summary.
 package obs
 
 import (

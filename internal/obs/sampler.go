@@ -63,43 +63,18 @@ func (iv *Interval) CPITotal() uint64 {
 }
 
 // Sampler accumulates a run's interval series from the pipeline's sample
-// hook. It is not safe for concurrent use, matching the hook contract:
-// the pipeline calls it from the (single-threaded) simulation loop.
+// hook; the zero Sampler is ready to use. It is not safe for concurrent
+// use, matching the hook contract: the pipeline calls it from the
+// (single-threaded) simulation loop. A window closed every N committed
+// micro-ops can overshoot by up to one commit group; deltas stay exact
+// because they are counter differences, not rate estimates.
 type Sampler struct {
-	every     uint64
 	prev      pipeline.Stats
 	intervals []Interval
 }
 
-// NewSampler returns a sampler that closes an interval every `every`
-// committed micro-ops (the window actually closed can overshoot by up to
-// one commit group; deltas stay exact because they are counter
-// differences, not rate estimates).
-func NewSampler(every uint64) *Sampler {
-	return &Sampler{every: every}
-}
-
-// Attach registers the sampler on the machine's sample hook. Call before
-// (*pipeline.Machine).Run.
-func (s *Sampler) Attach(m *pipeline.Machine) {
-	m.SetSampleHook(s.every, s.observe)
-}
-
-// Every returns the sampling interval in committed micro-ops — what
-// callers installing their own wrapping sample hook (e.g. the harness's
-// per-interval trace spans) pass to SetSampleHook.
-func (s *Sampler) Every() uint64 { return s.every }
-
-// Observe records one sample window. Exported for callers that wrap the
-// sampler in their own hook instead of using Attach; the single-threaded
-// hook contract still applies.
-func (s *Sampler) Observe(cur pipeline.Stats) { s.observe(cur) }
-
-func (s *Sampler) observe(cur pipeline.Stats) {
-	s.record(cur)
-}
-
-func (s *Sampler) record(cur pipeline.Stats) {
+// Observe closes one sample window at the run's current stats.
+func (s *Sampler) Observe(cur pipeline.Stats) {
 	p := &s.prev
 	iv := Interval{
 		Index:    len(s.intervals),
@@ -147,7 +122,7 @@ func (s *Sampler) record(cur pipeline.Stats) {
 // Passing nil (a failed run) returns whatever was collected.
 func (s *Sampler) Finalize(final *pipeline.Stats) []Interval {
 	if final != nil && final.CommittedUops > s.prev.CommittedUops {
-		s.record(*final)
+		s.Observe(*final)
 	}
 	return s.intervals
 }

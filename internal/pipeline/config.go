@@ -14,6 +14,9 @@
 package pipeline
 
 import (
+	"errors"
+	"fmt"
+
 	"sccsim/internal/cache"
 	"sccsim/internal/scc"
 	"sccsim/internal/uopcache"
@@ -66,6 +69,45 @@ type Config struct {
 
 	// Run length.
 	MaxUops uint64
+}
+
+// ErrInvalidConfig is the sentinel every Validate error wraps.
+var ErrInvalidConfig = errors.New("pipeline: invalid config")
+
+// Validate rejects a configuration the pipeline cannot simulate: a
+// functional-unit pool with no units (Machine.Run would loop forever
+// inside one cycle, below the progress guard), a cache level with no
+// sets or ways, an unoptimized micro-op cache partition with no sets, or
+// a non-positive constant width (New or the SCC unit would panic). The
+// error wraps ErrInvalidConfig and names the field and its value. Zero
+// widths and queue sizes are left to the progress guard, which turns
+// them into a Run error.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"IntALUs", c.IntALUs},
+		{"MulUnits", c.MulUnits},
+		{"DivUnits", c.DivUnits},
+		{"FPUnits", c.FPUnits},
+		{"MemPorts", c.MemPorts},
+		{"Hier.L1I.Sets", c.Hier.L1I.Sets},
+		{"Hier.L1I.Ways", c.Hier.L1I.Ways},
+		{"Hier.L1D.Sets", c.Hier.L1D.Sets},
+		{"Hier.L1D.Ways", c.Hier.L1D.Ways},
+		{"Hier.L2.Sets", c.Hier.L2.Sets},
+		{"Hier.L2.Ways", c.Hier.L2.Ways},
+		{"Hier.L3.Sets", c.Hier.L3.Sets},
+		{"Hier.L3.Ways", c.Hier.L3.Ways},
+		{"UC.UnoptSets", c.UC.UnoptSets},
+		{"SCC.ConstWidthBits", c.SCC.ConstWidthBits},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("%w: %s = %d, must be >= 1", ErrInvalidConfig, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Icelake returns the Table I baseline configuration (no SCC, unpartitioned

@@ -162,8 +162,12 @@ type dryEntry struct {
 	occ int32
 }
 
-// New builds a machine for the given program and configuration.
+// New builds a machine for the given program and configuration. A
+// configuration Validate rejects returns its error.
 func New(cfg Config, prog *asm.Program) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	vp := vpred.New(cfg.ValuePredictor)
 	if vp == nil {
 		return nil, fmt.Errorf("pipeline: unknown value predictor %q", cfg.ValuePredictor)

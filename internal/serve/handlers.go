@@ -76,7 +76,8 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // resolveConfig turns a request into the effective machine
 // configuration — the same MaxUops resolution harness.Prepare applies,
 // so the admission-time ConfigHash matches the manifest the run
-// produces.
+// produces. A configuration the pipeline cannot simulate is rejected
+// here, before it can take a job record or a worker.
 func (s *Server) resolveConfig(req JobRequest, wl workloads.Workload) (pipeline.Config, error) {
 	var cfg pipeline.Config
 	switch {
@@ -102,7 +103,7 @@ func (s *Server) resolveConfig(req JobRequest, wl workloads.Workload) (pipeline.
 	if cfg.MaxUops > s.cfg.MaxUopsCap {
 		return cfg, fmt.Errorf("max_uops %d exceeds the service cap %d", cfg.MaxUops, s.cfg.MaxUopsCap)
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

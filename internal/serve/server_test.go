@@ -20,6 +20,7 @@ import (
 
 	"sccsim/internal/harness"
 	"sccsim/internal/pipeline"
+	"sccsim/internal/scc"
 	"sccsim/internal/workloads"
 )
 
@@ -458,4 +459,57 @@ func TestSubmitValidation(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(string(raw), "xalancbmk") {
 		t.Errorf("workloads listing = %d %s", code, raw)
 	}
+}
+
+// TestSubmitRejectsUnsimulatableConfigs: a raw config that
+// pipeline.Config.Validate rejects answers 400 at admission, naming the
+// field, without a job record or a worker. Before the check, a config
+// with no integer ALUs was admitted and hung the only worker, so the
+// valid job posted after the bad ones never ran.
+func TestSubmitRejectsUnsimulatableConfigs(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, field := range []string{
+		"IntALUs", "MulUnits", "DivUnits", "FPUnits", "MemPorts",
+		"Hier.L1I.Sets", "Hier.L1I.Ways", "Hier.L1D.Sets", "Hier.L1D.Ways",
+		"Hier.L2.Sets", "Hier.L2.Ways", "Hier.L3.Sets", "Hier.L3.Ways",
+		"UC.UnoptSets", "SCC.ConstWidthBits",
+	} {
+		raw, err := json.Marshal(pipeline.IcelakeSCC(scc.LevelFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfg map[string]any
+		if err := json.Unmarshal(raw, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		path := strings.Split(field, ".")
+		obj := cfg
+		for _, k := range path[:len(path)-1] {
+			obj = obj[k].(map[string]any)
+		}
+		obj[path[len(path)-1]] = 0
+		raw, _ = json.Marshal(cfg)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"workload":"xalancbmk","max_uops":3000,"config":`+string(raw)+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field+" = 0") {
+			t.Errorf("%s = 0: status %d (%s), want 400 naming the field", field, resp.StatusCode, body)
+		}
+	}
+	if n := srv.met.submitted.Value(); n != 0 {
+		t.Errorf("submitted = %d after rejected configs, want 0", n)
+	}
+	st, code := postJob(t, ts, `{"workload":"mcf","max_uops":2000}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("valid submit = %d, want 202", code)
+	}
+	waitState(t, ts, st.ID, StateDone)
 }
