@@ -17,13 +17,16 @@ test:
 # Full verification: build, vet, the test suite under the race detector
 # (the sweep scheduler, the snapshot fan-out and the service's worker
 # pool are concurrent; the internal/serve tests are where the service's
-# HTTP contract is pinned), and the manifest round-trip smoke test
-# (bench-json encodes every manifest with built-in decode/re-encode
-# verification).
+# HTTP contract is pinned), vet and tests of the perfbench module (its
+# own module, which ./... skips, so a change to an API it calls fails
+# here rather than when the benchmark is built), and the manifest
+# round-trip smoke test (bench-json encodes every manifest with built-in
+# decode/re-encode verification).
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-json
 
 # Native fuzz targets, each for a short fixed budget: the sparse table
@@ -41,13 +44,13 @@ bench:
 # Machine-readable benchmark artifact: a reduced-scale fig6+fig7 sweep
 # writes per-run JSON manifests (Manifest.Encode verifies each one
 # round-trips through encoding/json) and the aggregate index becomes
-# BENCH_pr19.json — the headline numbers a perf trajectory can diff.
+# BENCH_pr20.json — the headline numbers a perf trajectory can diff.
 # Committed BENCH_pr*.json baselines from earlier PRs are never rewritten.
 bench-json:
 	rm -rf manifests
 	$(GO) run ./cmd/sccbench -experiment fig6,fig7 \
 	    -workloads xalancbmk,mcf,lbm -max-uops 30000 -json manifests > /dev/null
-	cp manifests/index.json BENCH_pr19.json
+	cp manifests/index.json BENCH_pr20.json
 
 # Regression gate: regenerate the reduced-scale sweep and diff it against
 # the committed PR-2 baseline with direction-aware thresholds (sccdiff

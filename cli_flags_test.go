@@ -81,7 +81,8 @@ func TestCLIRejectsInvalidLogLevel(t *testing.T) {
 // values it cannot run: -top without the SCC unit it dumps or with a
 // negative count, an -scc-level off the 0..5 ladder (9 used to run
 // silently as full SCC), and flags that build a configuration
-// pipeline.Config.Validate rejects (they used to panic mid-run). Each
+// pipeline.Config.Validate rejects (they used to panic mid-run, or, for
+// an SCC unit with no optimized partition, run it for nothing). Each
 // invocation would be a real run when valid, so a pass proves
 // validation fires before any simulation starts.
 func TestCLIRejectsBadSimFlags(t *testing.T) {
@@ -103,6 +104,7 @@ func TestCLIRejectsBadSimFlags(t *testing.T) {
 		{"level-negative", []string{"-enable-superoptimization", "-scc-level", "-1"}, "-scc-level must be 0..5"},
 		{"const-width-0", []string{"-enable-superoptimization", "-const-width", "0"}, "SCC.ConstWidthBits = 0"},
 		{"opt-sets-48", []string{"-enable-superoptimization", "-specCacheNumSets", "48"}, "UC.UnoptSets = 0"},
+		{"opt-sets-0", []string{"-enable-superoptimization", "-specCacheNumSets", "0"}, "UC.OptSets = 0"},
 	}
 	for _, tc := range cases {
 		tc := tc

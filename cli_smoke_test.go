@@ -5,7 +5,10 @@ package sccsim
 // `go run`, so this doubles as a build check for the commands themselves.
 
 import (
+	"encoding/json"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,5 +103,69 @@ func TestCLIMetricsDump(t *testing.T) {
 				t.Errorf("pipeline_skipped_cycles_total = %v, pipeline_cycles_total = %v; want 0 < skipped < cycles", skipped, cycles)
 			}
 		})
+	}
+}
+
+// TestCLIBenchArtifacts runs a one-kernel fig6 sweep through sccbench
+// with -json and -trace: every manifest it writes carries the
+// opt-report's per-transform tallies (sccdiff -explain reads them), and
+// the Chrome trace renders the sweep's span tree, one process named
+// after the sweep holding one harness.run slice per run.
+func TestCLIBenchArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI builds in -short mode")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "fig6.trace")
+	out, err := exec.Command("go", "run", "./cmd/sccbench", "-experiment", "fig6",
+		"-workloads", "xalancbmk", "-max-uops", "3000", "-json", dir, "-trace", tracePath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("sccbench: %v\n%s", err, out)
+	}
+
+	files, _ := filepath.Glob(filepath.Join(dir, "xalancbmk-*.json"))
+	if len(files) != 6 {
+		t.Fatalf("%d manifests, want one per fig6 level (6)", len(files))
+	}
+	for _, f := range files {
+		man, err := obs.ReadManifest(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.SCCReport == nil || len(man.SCCReport.Transforms) == 0 {
+			t.Errorf("%s carries no scc_report.transforms", filepath.Base(f))
+		}
+	}
+
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			PID  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	procs := map[int]any{}
+	runs := 0
+	for _, e := range trace.TraceEvents {
+		switch {
+		case e.Name == "process_name":
+			procs[e.PID] = e.Args["name"]
+		case e.Ph == "X" && e.Name == "harness.run":
+			runs++
+		}
+	}
+	if len(procs) != 1 || procs[1] != "sweep:fig6" || runs != 6 {
+		t.Errorf("trace processes %v with %d harness.run slices, want sweep:fig6 alone with 6", procs, runs)
 	}
 }

@@ -14,11 +14,13 @@
 //
 // Observability: -json <dir> writes one JSON manifest per (workload,
 // configuration) run — content-addressed by config hash, so re-runs
-// overwrite idempotently — plus an index.json aggregate. -trace <path>
-// writes a Chrome trace-event file (one process per experiment sweep,
-// one thread per scheduler worker) viewable in Perfetto. -progress
-// renders a live n/total + ETA line on stderr. -cpuprofile/-memprofile
-// profile the simulator itself.
+// overwrite idempotently — plus an index.json aggregate; each manifest
+// carries the run's scc_report opt-report summary. -trace <path> writes
+// the sweeps' span trees as a Chrome trace-event file viewable in
+// Perfetto (one process per sweep, its concurrent runs on separate
+// lanes); -trace-out writes the same trees as OTLP-compatible JSON.
+// -progress renders a live n/total + ETA line on stderr.
+// -cpuprofile/-memprofile profile the simulator itself.
 package main
 
 import (
@@ -59,7 +61,7 @@ func run() int {
 		jsonDir    = flag.String("json", "", "write one JSON manifest per run (plus index.json) into this directory")
 		traceOut   = flag.String("trace-out", "", "write the sweeps' span trees as OTLP-compatible JSON to this path (one root span per sweep, one child per scheduled run)")
 		cacheDir   = flag.String("cache", "", "result-cache directory: reuse matching manifests instead of re-simulating, write back misses (any -json output directory works)")
-		tracePath  = flag.String("trace", "", "write a Chrome trace-event (Perfetto) file of the sweeps to this path")
+		tracePath  = flag.String("trace", "", "write the sweeps' span trees as a Chrome trace-event (Perfetto) file to this path")
 		sampleIv   = flag.Uint64("sample-interval", 10_000, "telemetry sampling interval in committed uops (with -json/-trace)")
 		progress   = flag.Bool("progress", false, "live sweep progress line (n/total, ETA) on stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the harness to this path")
@@ -129,6 +131,9 @@ func run() int {
 	if *jsonDir != "" || *tracePath != "" {
 		opts.SampleEvery = *sampleIv
 	}
+	// Every manifest sccbench writes carries the scc_report summary,
+	// whose transform tallies sccdiff -explain diffs.
+	opts.Journal = *jsonDir != "" || *cacheDir != ""
 	if *progress {
 		opts.Progress = obs.ProgressPrinter(os.Stderr)
 	}
@@ -140,10 +145,10 @@ func run() int {
 	}
 
 	// art collects each sweep's results (via Options.OnResult, keyed by
-	// submission index) and turns them into per-run manifests and trace
-	// processes after the sweep's summary is known.
-	art := &artifacts{jsonDir: *jsonDir, trace: obs.NewTrace(), index: obs.NewIndex()}
-	if *jsonDir != "" || *tracePath != "" {
+	// submission index) and writes them as per-run manifests after the
+	// sweep.
+	art := &artifacts{jsonDir: *jsonDir, index: obs.NewIndex()}
+	if *jsonDir != "" {
 		opts.OnResult = art.collect
 	}
 	var cacheHits, cacheRuns int
@@ -162,7 +167,7 @@ func run() int {
 	}
 
 	var spanTracer *tracing.Tracer
-	if *traceOut != "" {
+	if *traceOut != "" || *tracePath != "" {
 		spanTracer = tracing.New(tracing.MintTraceID())
 	}
 
@@ -183,7 +188,7 @@ func run() int {
 		}
 		if sum != nil {
 			fmt.Printf("\n[%s sweep: %s]\n", name, sum)
-			if err := art.finish(name, sum); err != nil {
+			if err := art.finish(name); err != nil {
 				fmt.Fprintf(os.Stderr, "sccbench: %s: %v\n", name, err)
 				return false
 			}
@@ -284,29 +289,32 @@ func run() int {
 	}
 	if spanTracer != nil {
 		spanTracer.Finish()
-		if err := tracing.WriteOTLPFile(*traceOut, "sccbench", spanTracer.Spans()); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
+		spans := spanTracer.Spans()
+		if *traceOut != "" {
+			if err := tracing.WriteOTLPFile(*traceOut, "sccbench", spans); err != nil {
+				fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(os.Stderr, "sccbench: wrote span trace %s (trace id %s)\n",
+				*traceOut, spanTracer.TraceID())
 		}
-		fmt.Fprintf(os.Stderr, "sccbench: wrote span trace %s (trace id %s)\n",
-			*traceOut, spanTracer.TraceID())
 		if *tracePath != "" {
-			// The sweeps' span trees also merge into the Chrome trace as
-			// their own lane, alongside the per-sweep worker processes.
-			art.trace.AddSpanLane(0, "spans", spanTracer.Spans())
+			if err := obs.NewTrace(spans).WriteFile(*tracePath); err != nil {
+				fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(os.Stderr, "sccbench: wrote trace %s (open at ui.perfetto.dev)\n", *tracePath)
 		}
 	}
-	return art.flush(*tracePath)
+	return art.flush()
 }
 
-// artifacts accumulates run results per sweep and renders the -json and
-// -trace outputs.
+// artifacts accumulates run results per sweep and writes the -json
+// output.
 type artifacts struct {
 	jsonDir string
 	results map[int]*harness.RunResult // current sweep, by submission index
-	trace   *obs.Trace
 	index   *obs.Index
-	sweeps  int
 }
 
 func (a *artifacts) begin(string) { a.results = map[int]*harness.RunResult{} }
@@ -315,28 +323,13 @@ func (a *artifacts) begin(string) { a.results = map[int]*harness.RunResult{} }
 // in submission order after each sweep completes.
 func (a *artifacts) collect(i int, r *harness.RunResult) { a.results[i] = r }
 
-// finish writes the finished sweep's manifests and appends its trace
-// process.
-func (a *artifacts) finish(name string, sum *sccsim.SweepSummary) error {
-	if len(a.results) == 0 {
-		return nil
-	}
-	a.sweeps++
+// finish writes the finished sweep's manifests.
+func (a *artifacts) finish(name string) error {
 	idxs := make([]int, 0, len(a.results))
 	for i := range a.results {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-
-	samples := map[int][]obs.Interval{}
-	for _, i := range idxs {
-		samples[i] = a.results[i].Samples
-	}
-	a.trace.AddSweep(name, a.sweeps, sum, samples)
-
-	if a.jsonDir == "" {
-		return nil
-	}
 	for _, i := range idxs {
 		man := a.results[i].Manifest()
 		// Content-addressed name (the result cache's): identical
@@ -351,22 +344,16 @@ func (a *artifacts) finish(name string, sum *sccsim.SweepSummary) error {
 	return nil
 }
 
-// flush writes the cross-sweep artifacts (index.json, the trace file).
-func (a *artifacts) flush(tracePath string) int {
-	if a.jsonDir != "" {
-		if err := a.index.WriteFile(filepath.Join(a.jsonDir, "index.json")); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "sccbench: wrote %d manifests + index.json to %s\n",
-			len(a.index.Entries), a.jsonDir)
+// flush writes index.json.
+func (a *artifacts) flush() int {
+	if a.jsonDir == "" {
+		return 0
 	}
-	if tracePath != "" {
-		if err := a.trace.WriteFile(tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "sccbench: wrote trace %s (open at ui.perfetto.dev)\n", tracePath)
+	if err := a.index.WriteFile(filepath.Join(a.jsonDir, "index.json")); err != nil {
+		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
+		return 1
 	}
+	fmt.Fprintf(os.Stderr, "sccbench: wrote %d manifests + index.json to %s\n",
+		len(a.index.Entries), a.jsonDir)
 	return 0
 }

@@ -12,13 +12,14 @@
 //	sccsim -list
 //
 // -json writes the machine-readable run manifest (config, stats, energy,
-// interval-sampled telemetry); -trace writes a Chrome trace-event file
-// viewable in Perfetto. Either flag enables interval sampling (every
-// -sample-interval committed uops). -top N follows the report with the
-// SCC unit's summary and the N most-streamed compacted lines of the
-// optimized partition: their micro-ops, invariants and confidences,
-// live-outs and hotness. -cpuprofile/-memprofile profile the simulator
-// itself.
+// interval-sampled telemetry); -trace writes the run's span tree as a
+// Chrome trace-event file viewable in Perfetto, and -trace-out the same
+// tree as OTLP-compatible JSON. -json and -trace enable interval
+// sampling (every -sample-interval committed uops). -top N follows the
+// report with the SCC unit's summary and the N most-streamed compacted
+// lines of the optimized partition: their micro-ops, invariants and
+// confidences, live-outs and hotness. -cpuprofile/-memprofile profile
+// the simulator itself.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"sccsim/internal/harness"
 	"sccsim/internal/obs"
 	"sccsim/internal/pipeline"
-	"sccsim/internal/runner"
 	"sccsim/internal/scc"
 	"sccsim/internal/stats"
 	"sccsim/internal/telemetry"
@@ -60,7 +60,7 @@ func run() int {
 		version   = flag.Bool("version", false, "print the simulator version and exit")
 		jsonPath  = flag.String("json", "", "write the JSON run manifest to this path")
 		optReport = flag.String("optreport", "", "write the SCC optimization report to this path (\"-\" = stdout text, .json = JSON)")
-		tracePath = flag.String("trace", "", "write a Chrome trace-event (Perfetto) file to this path")
+		tracePath = flag.String("trace", "", "write the run's span tree as a Chrome trace-event (Perfetto) file to this path")
 		pipeview  = flag.String("pipeview", "", "write a per-uop pipeline lifecycle trace (gem5 O3PipeView format, opens in Konata) to this path")
 		pipeviewN = flag.Int("pipeview-limit", obs.DefaultPipeTraceLimit,
 			"retain the last N micro-ops in the -pipeview trace")
@@ -161,23 +161,22 @@ func run() int {
 		}
 	}
 	var spanTracer *tracing.Tracer
-	if *traceOut != "" {
+	if *traceOut != "" || *tracePath != "" {
 		spanTracer = tracing.New(tracing.MintTraceID())
 		root := spanTracer.StartSpan("sccsim", tracing.SpanID{})
 		opts.Ctx = tracing.NewContext(context.Background(), spanTracer, root)
 	}
 	var res *harness.RunResult
-	var sum *runner.Summary
 	switch {
 	case *program != "":
-		res, sum, err = runFile(cfg, *program, opts)
+		res, err = runFile(cfg, *program, opts)
 	case *workload != "":
 		w, ok := sccsim.WorkloadByName(*workload)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "sccsim: unknown workload %q (try -list)\n", *workload)
 			return 2
 		}
-		res, sum, err = harness.RunOneTimed(cfg, w, opts)
+		res, err = harness.RunOne(cfg, w, opts)
 	default:
 		fmt.Fprintln(os.Stderr, "sccsim: need -workload or -program (or -list)")
 		return 2
@@ -194,6 +193,8 @@ func run() int {
 	if spanTracer != nil {
 		spanTracer.Finish()
 		spans = spanTracer.Spans()
+	}
+	if *traceOut != "" {
 		if err := tracing.WriteOTLPFile(*traceOut, "sccsim", spans); err != nil {
 			fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
 			return 1
@@ -201,7 +202,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sccsim: wrote span trace %s (trace id %s)\n",
 			*traceOut, spanTracer.TraceID())
 	}
-	if err := writeArtifacts(res, sum, *jsonPath, *tracePath, spans); err != nil {
+	if err := writeArtifacts(res, *jsonPath, *tracePath, spans); err != nil {
 		fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
 		return 1
 	}
@@ -226,10 +227,10 @@ func run() int {
 	return 0
 }
 
-// writeArtifacts emits the -json manifest and -trace file for the run.
-// spans, when non-empty (the -trace-out tracer ran), merge into the
-// Chrome trace as a dedicated span lane next to the worker lanes.
-func writeArtifacts(res *harness.RunResult, sum *runner.Summary, jsonPath, tracePath string, spans []tracing.SpanData) error {
+// writeArtifacts emits the -json manifest and the -trace rendering of
+// the run's span tree; a journaled run's compaction jobs go on an
+// scc-unit lane laid over its harness.simulate span.
+func writeArtifacts(res *harness.RunResult, jsonPath, tracePath string, spans []tracing.SpanData) error {
 	if jsonPath != "" {
 		man := res.Manifest()
 		if err := man.WriteFile(jsonPath); err != nil {
@@ -239,12 +240,12 @@ func writeArtifacts(res *harness.RunResult, sum *runner.Summary, jsonPath, trace
 			jsonPath, len(man.Samples))
 	}
 	if tracePath != "" {
-		tr := obs.NewTrace()
-		tr.AddSweep("sccsim "+res.Workload, 1, sum, map[int][]obs.Interval{0: res.Samples})
-		if len(res.JobSlices) > 0 && sum != nil && len(sum.Jobs) > 0 && res.Stats != nil {
-			tr.AddSCCLane(1, sum.Jobs[0], res.Stats.Cycles, res.JobSlices)
+		tr := obs.NewTrace(spans)
+		for _, sd := range spans {
+			if sd.Name == "harness.simulate" {
+				tr.AddSCCLane(sd, res.Stats.Cycles, res.JobSlices)
+			}
 		}
-		tr.AddSpanLane(1, "spans", spans)
 		if err := tr.WriteFile(tracePath); err != nil {
 			return err
 		}
@@ -253,19 +254,19 @@ func writeArtifacts(res *harness.RunResult, sum *runner.Summary, jsonPath, trace
 	return nil
 }
 
-func runFile(cfg sccsim.Config, path string, opts sccsim.Options) (*harness.RunResult, *runner.Summary, error) {
+func runFile(cfg sccsim.Config, path string, opts sccsim.Options) (*harness.RunResult, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := asm.Assemble(string(src)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if opts.MaxUops == 0 {
 		opts.MaxUops = 1 << 62
 	}
 	w := workloads.Workload{Name: path, Source: string(src), DefaultMaxUops: opts.MaxUops}
-	return harness.RunOneTimed(cfg, w, opts)
+	return harness.RunOne(cfg, w, opts)
 }
 
 func report(res *harness.RunResult, verbose bool) {

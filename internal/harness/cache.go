@@ -73,9 +73,10 @@ func readManifest(dir, name string) *obs.Manifest {
 // loadCached probes the cache directory for a finished run of the
 // effective configuration. It returns nil on any miss: absent or
 // undecodable slot, hash/version/schema mismatch (a stale entry, missed
-// but kept), or a manifest without the interval series the caller asked
-// for. Energy is recomputed from the cached counters with the default
-// energy constants, exactly as a fresh run computes it.
+// but kept), or a manifest without the interval series or the
+// scc_report block the caller asked for. Energy is recomputed from the
+// cached counters with the default energy constants, exactly as a fresh
+// run computes it.
 func loadCached(opts Options, w workloads.Workload, cfg pipeline.Config) *RunResult {
 	hash := obs.ConfigHash(w.Name, cfg)
 	man := readManifest(opts.CacheDir, CacheName(w.Name, hash))
@@ -85,15 +86,19 @@ func loadCached(opts Options, w workloads.Workload, cfg pipeline.Config) *RunRes
 	if opts.SampleEvery > 0 && len(man.Samples) == 0 {
 		return nil
 	}
+	if opts.Journal && man.SCCReport == nil {
+		return nil
+	}
 	return &RunResult{
-		Workload:  man.Workload,
-		Config:    man.Config,
-		Stats:     man.Stats,
-		Energy:    power.Energy(power.DefaultParams(), man.Stats, man.Mem),
-		Mem:       man.Mem,
-		Unit:      man.Unit,
-		Samples:   man.Samples,
-		FromCache: true,
+		Workload:     man.Workload,
+		Config:       man.Config,
+		Stats:        man.Stats,
+		Energy:       power.Energy(power.DefaultParams(), man.Stats, man.Mem),
+		Mem:          man.Mem,
+		Unit:         man.Unit,
+		Samples:      man.Samples,
+		FromCache:    true,
+		cachedReport: man.SCCReport,
 	}
 }
 

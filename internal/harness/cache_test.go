@@ -203,3 +203,39 @@ func TestCacheProbeAndHashLookup(t *testing.T) {
 		t.Error("too-short prefix must not resolve")
 	}
 }
+
+// TestResultCacheKeepsSCCReport: a journaled run misses a cached
+// manifest that has no scc_report block and writes one back with it;
+// the journaled repeat hits, and its manifest keeps the cached block.
+func TestResultCacheKeepsSCCReport(t *testing.T) {
+	w, _ := workloads.ByName("xalancbmk")
+	dir := t.TempDir()
+	cfg := pipeline.IcelakeSCC(scc.LevelFull)
+	if _, err := RunOne(cfg, w, Options{MaxUops: 20_000, CacheDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := Options{MaxUops: 20_000, CacheDir: dir, Journal: true}
+	cold, err := RunOne(cfg, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.FromCache {
+		t.Error("journaled run hit a manifest without scc_report")
+	}
+	want := cold.Manifest().SCCReport
+	if want == nil || len(want.Transforms) == 0 {
+		t.Fatalf("journaled run's manifest scc_report = %+v, want transform tallies", want)
+	}
+
+	warm, err := RunOne(cfg, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.FromCache {
+		t.Fatal("journaled repeat missed the manifest its predecessor wrote")
+	}
+	if got := warm.Manifest().SCCReport; !reflect.DeepEqual(got, want) {
+		t.Errorf("cache hit's scc_report = %+v, want the cached %+v", got, want)
+	}
+}

@@ -42,17 +42,22 @@ type RunResult struct {
 	// Options.Journal attached the journal aggregator.
 	OptReport *obs.SCCReport
 	// JobSlices holds the compaction-job spans for the trace exporter's
-	// scc-unit lane (journal runs only).
+	// scc-unit lane (journaled runs with a tracer in Options.Ctx only:
+	// nothing else reads them).
 	JobSlices []obs.SCCJobSlice
 	// FromCache marks a result rehydrated from a manifest in
 	// Options.CacheDir instead of simulated (the run never executed).
 	FromCache bool
+	// cachedReport is the scc_report block of the manifest a journaled
+	// cache hit was rehydrated from.
+	cachedReport *obs.SCCReportSummary
 }
 
 // Manifest assembles the run's machine-readable JSON artifact. Everything
 // it fills except the VCS stamp is deterministic.
 func (r *RunResult) Manifest() *obs.Manifest {
 	m := obs.NewManifest(r.Workload, r.Config, r.Stats, r.Energy, r.Mem, r.Unit, r.Samples)
+	m.SCCReport = r.cachedReport
 	if r.OptReport != nil {
 		m.SCCReport = r.OptReport.Summary()
 	}
@@ -109,7 +114,9 @@ type Options struct {
 	// Journal attaches the SCC journal aggregator to each run and fills
 	// RunResult.OptReport with the aggregated optimization report. The
 	// journal is a pure tap — simulation results are identical either way.
-	// Like Observe, it is not applied on a result-cache hit.
+	// Like Observe, it is not applied on a result-cache hit: a hit needs
+	// a cached manifest with an scc_report block, which its Manifest
+	// keeps.
 	Journal bool
 	// Observe, when non-nil, is invoked with each run's prepared machine
 	// before simulation starts — the attach point for obs observers
@@ -257,19 +264,11 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 	}
 	simCtx, simSpan := tracing.Start(ctx, "harness.simulate")
 	var sampler *obs.Sampler
+	var closeWindow func(obs.Interval)
 	if opts.SampleEvery > 0 {
-		// Every closed interval is also a child span of the simulate span
-		// (a no-op on an untraced run) — the trace-side view of the
-		// manifest's Samples series.
-		sampler = new(obs.Sampler)
-		interval := 0
+		sampler, closeWindow = new(obs.Sampler), windowSpans(simCtx)
 		m.SetSampleHook(opts.SampleEvery, func(cur pipeline.Stats) {
-			_, isp := tracing.Start(simCtx, "sample.interval",
-				tracing.Int("interval", int64(interval)),
-				tracing.Uint64("end_uops", cur.CommittedUops))
-			sampler.Observe(cur)
-			isp.End()
-			interval++
+			closeWindow(sampler.Observe(cur))
 		})
 	}
 	if rlog != nil {
@@ -287,6 +286,13 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 				slog.String("error", err.Error()))
 		}
 		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
+	}
+	var samples []obs.Interval
+	if sampler != nil {
+		samples = sampler.Finalize(st)
+		if n := len(samples); n > 0 {
+			closeWindow(samples[n-1]) // the tail window, if Finalize closed one
+		}
 	}
 	if simSpan != nil {
 		_, skipped := m.CycleCounts()
@@ -320,17 +326,49 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 		u := m.Unit.Stats
 		res.Unit = &u
 	}
-	if sampler != nil {
-		res.Samples = sampler.Finalize(st)
-	}
+	res.Samples = samples
 	if journal != nil {
 		res.OptReport = journal.Report(w.Name)
-		res.JobSlices = journal.JobSlices()
+		if tr, _ := tracing.FromContext(ctx); tr != nil {
+			res.JobSlices = journal.JobSlices()
+		}
 	}
 	if opts.CacheDir != "" {
 		storeCached(opts.CacheDir, res)
 	}
 	return res, nil
+}
+
+// windowSpans returns the function measure hands each sampling window
+// as it closes. On a traced context it records the window as a
+// sample.interval span under the context's span (harness.simulate),
+// from the previous window's end to now, carrying the interval's
+// metrics; a window it has already recorded is skipped. On an untraced
+// context it does nothing.
+func windowSpans(ctx context.Context) func(obs.Interval) {
+	tr, parent := tracing.FromContext(ctx)
+	if tr == nil {
+		return func(obs.Interval) {}
+	}
+	start, next := time.Now(), 0
+	return func(iv obs.Interval) {
+		if iv.Index < next {
+			return
+		}
+		tr.StartSpanAt(start, "sample.interval", parent.SpanID(),
+			tracing.Int("interval", int64(iv.Index)),
+			tracing.Uint64("end_uops", iv.EndUops),
+			tracing.Float64("ipc", iv.IPC),
+			tracing.Float64("uop_reduction", iv.UopReduction),
+			tracing.Float64("opt_share", iv.OptShare),
+			tracing.Float64("squashes_per_kuop", iv.SquashesPerKuop),
+			tracing.Float64("mpki", iv.MPKI),
+			tracing.Uint64("committed", iv.Committed),
+			tracing.Uint64("eliminated", iv.Eliminated),
+			tracing.Uint64("cycles", iv.Cycles),
+		).End()
+		start, next = time.Now(), iv.Index+1
+	}
 }
 
 // job wraps one (configuration, workload) run as a schedulable unit.
@@ -363,16 +401,9 @@ func sweep(opts Options, jobs []runner.Job[*RunResult]) ([]*RunResult, *runner.S
 // shares the same fault isolation (a panicking simulation reports an
 // error instead of crashing the caller).
 func RunOne(cfg pipeline.Config, w workloads.Workload, opts Options) (*RunResult, error) {
-	res, _, err := RunOneTimed(cfg, w, opts)
-	return res, err
-}
-
-// RunOneTimed is RunOne plus the scheduler's telemetry summary for the
-// single-job sweep — what sccsim feeds the trace exporter.
-func RunOneTimed(cfg pipeline.Config, w workloads.Workload, opts Options) (*RunResult, *runner.Summary, error) {
-	res, sum, err := sweep(opts, []runner.Job[*RunResult]{job(cfg, w, opts)})
+	res, _, err := sweep(opts, []runner.Job[*RunResult]{job(cfg, w, opts)})
 	if err != nil {
-		return nil, sum, err
+		return nil, err
 	}
-	return res[0], sum, nil
+	return res[0], nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"sccsim/internal/pipeline"
@@ -138,6 +139,63 @@ func TestTracingNormalizedByteStable(t *testing.T) {
 	a, b := export(), export()
 	if !bytes.Equal(a, b) {
 		t.Errorf("normalized traces differ across identical runs:\n--- a\n%s\n--- b\n%s", a, b)
+	}
+}
+
+// TestIntervalSpansMatchSamples: on a sampled, traced run each manifest
+// sample has one sample.interval span, in order, lying one after
+// another inside harness.simulate and carrying the sample's metrics.
+// The 10000-uop run closes windows at 4000 and 8000 uops and a tail
+// window at the end, which Finalize closes.
+func TestIntervalSpansMatchSamples(t *testing.T) {
+	w, ok := workloads.ByName("mcf")
+	if !ok {
+		t.Fatal("workload mcf not found")
+	}
+	tr := tracing.New(tracing.MintTraceID())
+	res, err := RunOne(pipeline.IcelakeSCC(scc.LevelFull), w,
+		tracedOptions(tr, Options{MaxUops: 10000, Parallel: 1, SampleEvery: 4000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	var sim tracing.SpanData
+	var windows []tracing.SpanData
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case "harness.simulate":
+			sim = sp
+		case "sample.interval":
+			windows = append(windows, sp)
+		}
+	}
+	if len(res.Samples) != 3 || len(windows) != len(res.Samples) {
+		t.Fatalf("%d sample.interval spans for %d samples, want 3 of each", len(windows), len(res.Samples))
+	}
+	prevEnd := sim.Start
+	for i, sp := range windows {
+		if sp.ParentID != sim.SpanID || sp.Start.Before(prevEnd) || sp.End.Before(sp.Start) || sim.End.Before(sp.End) {
+			t.Errorf("window %d [%v, %v] is not inside harness.simulate [%v, %v] after window %d's end %v",
+				i, sp.Start, sp.End, sim.Start, sim.End, i-1, prevEnd)
+		}
+		prevEnd = sp.End
+		iv := res.Samples[i]
+		want := map[string]any{
+			"interval": int64(i), "end_uops": iv.EndUops,
+			"ipc": iv.IPC, "uop_reduction": iv.UopReduction, "opt_share": iv.OptShare,
+			"squashes_per_kuop": iv.SquashesPerKuop, "mpki": iv.MPKI,
+			"committed": iv.Committed, "eliminated": iv.Eliminated, "cycles": iv.Cycles,
+		}
+		got := map[string]any{}
+		for _, a := range sp.Attrs {
+			got[a.Key] = a.Value
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("window %d attrs %v, want sample %v", i, got, want)
+		}
+	}
+	if last := res.Samples[len(res.Samples)-1]; last.EndUops != res.Stats.CommittedUops {
+		t.Errorf("last sample ends at %d uops, run committed %d: no tail window", last.EndUops, res.Stats.CommittedUops)
 	}
 }
 

@@ -6,19 +6,19 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"sccsim/internal/asm"
 	"sccsim/internal/harness"
 	"sccsim/internal/obs"
 	"sccsim/internal/pipeline"
-	"sccsim/internal/runner"
 	"sccsim/internal/scc"
+	"sccsim/internal/tracing"
 	"sccsim/internal/workloads"
 )
 
@@ -359,33 +359,60 @@ func TestWriteOptReportPaths(t *testing.T) {
 	}
 }
 
-// TestJournalTraceLane: the scc-unit lane renders each recorded job as an
-// X slice scaled onto the run's wall-clock extent.
+// TestJournalTraceLane: the scc-unit lane lays every recorded job over
+// the traced run's harness.simulate slice, in the run's process, and
+// stays silent for a zero-cycle run.
 func TestJournalTraceLane(t *testing.T) {
-	res := runJournaled(t, "xalancbmk", 20_000)
+	w, ok := workloads.ByName("xalancbmk")
+	if !ok {
+		t.Fatal("unknown workload xalancbmk")
+	}
+	tr := tracing.New(tracing.MintTraceID())
+	root := tr.StartSpan("sccsim", tracing.SpanID{})
+	res, err := harness.RunOne(pipeline.IcelakeSCC(scc.LevelFull), w, harness.Options{
+		Ctx:     tracing.NewContext(context.Background(), tr, root),
+		MaxUops: 20_000, Journal: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.JobSlices) == 0 {
 		t.Fatal("journaled run recorded no job slices")
 	}
-	tr := obs.NewTrace()
-	tr.AddSCCLane(1, runner.JobStats{Wall: 5 * time.Millisecond}, res.Stats.Cycles, res.JobSlices)
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, frag := range []string{`"scc-unit"`, `"scc-job`, `"job_id"`} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("trace lane missing %q", frag)
+	tr.Finish()
+	spans := tr.Spans()
+	var sim tracing.SpanData
+	for _, sd := range spans {
+		if sd.Name == "harness.simulate" {
+			sim = sd
 		}
 	}
-	if n := strings.Count(out, `"job_id"`); n != len(res.JobSlices) {
-		t.Errorf("trace has %d job slices, journal recorded %d", n, len(res.JobSlices))
+
+	ct := obs.NewTrace(spans)
+	bare := decodeTrace(t, ct)
+	ct.AddSCCLane(sim, 0, res.JobSlices)
+	if n := len(decodeTrace(t, ct)); n != len(bare) {
+		t.Errorf("a zero-cycle lane added %d events", n-len(bare))
 	}
-	// Zero cycles or no slices: the lane must stay silent.
-	empty := obs.NewTrace()
-	empty.AddSCCLane(1, runner.JobStats{Wall: time.Millisecond}, 0, res.JobSlices)
-	if !empty.Empty() {
-		t.Error("lane emitted events for a zero-cycle run")
+	ct.AddSCCLane(sim, res.Stats.Cycles, res.JobSlices)
+	slices := checkLanes(t, decodeTrace(t, ct))
+	simEv := byName(slices)["harness.simulate"]
+	jobs := 0
+	for _, e := range slices {
+		if !strings.HasPrefix(e.Cat, "scc-job") {
+			continue
+		}
+		jobs++
+		if e.PID != simEv.PID || e.start() < simEv.start() || e.end() > simEv.end() {
+			t.Errorf("%s in pid %d [%d, %d] escapes harness.simulate in pid %d [%d, %d]",
+				e.Name, e.PID, e.start(), e.end(), simEv.PID, simEv.start(), simEv.end())
+		}
+		if _, ok := e.Args["job_id"]; !ok {
+			t.Errorf("%s carries no job_id arg", e.Name)
+		}
+	}
+	if jobs != len(res.JobSlices) {
+		t.Errorf("trace has %d job slices, journal recorded %d", jobs, len(res.JobSlices))
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package obs is the simulator's observability layer: interval-sampled
 // telemetry over pipeline.Stats, machine-readable JSON run manifests,
-// Chrome trace-event (catapult) export of sweep schedules, live sweep
+// Chrome trace-event (catapult) rendering of span trees, live sweep
 // progress reporting, and pprof plumbing for the CLIs.
 //
 // Everything here is strictly an observer: sampling taps read Stats
 // snapshots the pipeline pushes, manifests serialize finished
-// measurements, and traces re-render scheduler telemetry. None of it
+// measurements, and traces render finished span trees. None of it
 // feeds back into simulation results, so enabling observability never
 // perturbs determinism — the manifests themselves are byte-stable across
 // runs and across -parallel settings once Manifest.Normalize strips the

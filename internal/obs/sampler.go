@@ -73,8 +73,9 @@ type Sampler struct {
 	intervals []Interval
 }
 
-// Observe closes one sample window at the run's current stats.
-func (s *Sampler) Observe(cur pipeline.Stats) {
+// Observe closes one sample window at the run's current stats and
+// returns it.
+func (s *Sampler) Observe(cur pipeline.Stats) Interval {
 	p := &s.prev
 	iv := Interval{
 		Index:    len(s.intervals),
@@ -115,6 +116,7 @@ func (s *Sampler) Observe(cur pipeline.Stats) {
 	iv.MPKI = stats.Ratio(1000*float64(iv.Mispredicts), float64(iv.Committed))
 	s.intervals = append(s.intervals, iv)
 	s.prev = cur
+	return iv
 }
 
 // Finalize closes the tail interval against the run's final stats (work

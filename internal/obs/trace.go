@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
-	"sccsim/internal/runner"
 	"sccsim/internal/tracing"
 )
 
@@ -32,126 +32,138 @@ type traceFile struct {
 	OtherData       map[string]string `json:"otherData,omitempty"`
 }
 
-// Trace accumulates sweep schedules as a Chrome trace-event file,
-// viewable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each sweep
-// becomes a process; each scheduler worker becomes a thread lane; each
-// job a duration slice — making load imbalance and scheduling gaps
-// directly visible. When a job carries an interval series, the intervals
-// render as slices nested inside the job's span, scaled onto its
-// wall-clock extent by simulated-cycle share.
+// Trace is a finished span tree rendered as a Chrome trace-event file,
+// viewable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each root
+// span (a sccbench sweep, a sccsim run) becomes one process, named after
+// it, whose first lane it covers. The root's direct children are packed
+// greedily onto the fewest lanes on which slices only nest, so the
+// concurrent runs of a parallel sweep sit side by side, and every deeper
+// span goes on its top-level ancestor's lane, inside it. Timestamps
+// count from the earliest span, so successive sweeps appear one after
+// another.
 type Trace struct {
 	events []traceEvent
+	base   time.Time
+	pids   map[tracing.SpanID]int // each rendered span's process
 }
 
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{} }
+// NewTrace renders spans, a finished trace (Tracer.Finish, then Spans).
+// A span whose parent is not among them is a root.
+func NewTrace(spans []tracing.SpanData) *Trace {
+	t := &Trace{pids: make(map[tracing.SpanID]int, len(spans))}
+	known := make(map[tracing.SpanID]bool, len(spans))
+	for _, sd := range spans {
+		known[sd.SpanID] = true
+		if t.base.IsZero() || sd.Start.Before(t.base) {
+			t.base = sd.Start
+		}
+	}
+	children := map[tracing.SpanID][]tracing.SpanData{}
+	var roots []tracing.SpanData
+	for _, sd := range spans {
+		if known[sd.ParentID] {
+			children[sd.ParentID] = append(children[sd.ParentID], sd)
+		} else {
+			roots = append(roots, sd)
+		}
+	}
+	for i, root := range roots {
+		pid := i + 1
+		t.meta("process_name", pid, 0, root.Name)
+		t.meta("thread_name", pid, 1, "lane 1")
+		t.slice(root, pid, 1)
+		// Greedy interval partitioning: in start order, each child takes
+		// the first lane whose last child has ended, which needs exactly
+		// as many lanes as children ever overlap.
+		kids := children[root.SpanID]
+		sort.SliceStable(kids, func(a, b int) bool { return kids[a].Start.Before(kids[b].Start) })
+		laneEnd := []time.Time{root.Start}
+		for _, kid := range kids {
+			lane := 0
+			for lane < len(laneEnd) && laneEnd[lane].After(kid.Start) {
+				lane++
+			}
+			if lane == len(laneEnd) {
+				laneEnd = append(laneEnd, time.Time{})
+				t.meta("thread_name", pid, lane+1, fmt.Sprintf("lane %d", lane+1))
+			}
+			laneEnd[lane] = kid.End
+			t.subtree(kid, children, pid, lane+1)
+		}
+	}
+	return t
+}
+
+// subtree renders sd and all its descendants on one lane.
+func (t *Trace) subtree(sd tracing.SpanData, children map[tracing.SpanID][]tracing.SpanData, pid, tid int) {
+	t.slice(sd, pid, tid)
+	for _, c := range children[sd.SpanID] {
+		t.subtree(c, children, pid, tid)
+	}
+}
+
+// slice renders one span; its attributes, ids and error become args.
+func (t *Trace) slice(sd tracing.SpanData, pid, tid int) {
+	t.pids[sd.SpanID] = pid
+	args := map[string]any{
+		"trace_id": sd.TraceID.String(),
+		"span_id":  sd.SpanID.String(),
+	}
+	if !sd.ParentID.IsZero() {
+		args["parent_id"] = sd.ParentID.String()
+	}
+	for _, a := range sd.Attrs {
+		args[a.Key] = a.Value
+	}
+	cat := "span"
+	if sd.Err != "" {
+		cat = "span,error"
+		args["error"] = sd.Err
+	}
+	t.events = append(t.events, traceEvent{
+		Name: sd.Name, Cat: cat, Ph: "X",
+		TS: micros(sd.Start.Sub(t.base)), Dur: micros(sd.End.Sub(sd.Start)),
+		PID: pid, TID: tid, Args: args,
+	})
+}
+
+func (t *Trace) meta(kind string, pid, tid int, name string) {
+	t.events = append(t.events, traceEvent{
+		Name: kind, Ph: "M", PID: pid, TID: tid,
+		Args: map[string]any{"name": name},
+	})
+}
 
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// AddSweep renders one scheduler sweep. name labels the process (pid must
-// be unique per sweep within the trace); samples, when non-nil, maps a
-// job's submission index to its sampler interval series.
-func (t *Trace) AddSweep(name string, pid int, sum *runner.Summary, samples map[int][]Interval) {
-	if sum == nil {
-		return
-	}
-	t.events = append(t.events, traceEvent{
-		Name: "process_name", Ph: "M", PID: pid,
-		Args: map[string]any{"name": name},
-	})
-	seenWorker := map[int]bool{}
-	for _, js := range sum.Jobs {
-		if js.Skipped {
-			continue
-		}
-		if !seenWorker[js.Worker] {
-			seenWorker[js.Worker] = true
-			t.events = append(t.events, traceEvent{
-				Name: "thread_name", Ph: "M", PID: pid, TID: js.Worker,
-				Args: map[string]any{"name": fmt.Sprintf("worker %d", js.Worker)},
-			})
-		}
-		cat, args := "job", map[string]any{
-			"index":        js.Index,
-			"uops":         js.Uops,
-			"uops_per_sec": js.UopsPerSec(),
-		}
-		if js.Err != nil {
-			cat = "job,error"
-			args["error"] = js.Err.Error()
-		}
-		t.events = append(t.events, traceEvent{
-			Name: js.Name, Cat: cat, Ph: "X",
-			TS: micros(js.Start), Dur: micros(js.Wall),
-			PID: pid, TID: js.Worker, Args: args,
-		})
-		if ivs := samples[js.Index]; len(ivs) > 0 {
-			t.addIntervals(pid, js, ivs)
-		}
-	}
-}
-
-// addIntervals nests a job's sampler intervals inside its span. Intervals
-// are measured in simulated cycles, not wall time, so each is laid out
-// proportionally to its cycle share of the job's total — the slice widths
-// show where simulated time went, not host time.
-func (t *Trace) addIntervals(pid int, js runner.JobStats, ivs []Interval) {
-	var totalCycles uint64
-	for _, iv := range ivs {
-		totalCycles += iv.Cycles
-	}
-	if totalCycles == 0 {
-		return
-	}
-	ts := micros(js.Start)
-	span := micros(js.Wall)
-	for _, iv := range ivs {
-		dur := span * float64(iv.Cycles) / float64(totalCycles)
-		t.events = append(t.events, traceEvent{
-			Name: fmt.Sprintf("interval %d", iv.Index), Cat: "sample", Ph: "X",
-			TS: ts, Dur: dur, PID: pid, TID: js.Worker,
-			Args: map[string]any{
-				"ipc":               iv.IPC,
-				"uop_reduction":     iv.UopReduction,
-				"opt_share":         iv.OptShare,
-				"squashes_per_kuop": iv.SquashesPerKuop,
-				"mpki":              iv.MPKI,
-				"committed":         iv.Committed,
-				"eliminated":        iv.Eliminated,
-				"cycles":            iv.Cycles,
-			},
-		})
-		ts += dur
-	}
-}
-
-// sccLaneTID keeps the scc-unit lane clear of the worker thread ids.
+// sccLaneTID keeps the scc-unit lane clear of the span lanes.
 const sccLaneTID = 1 << 20
 
-// AddSCCLane renders a run's compaction jobs as an "scc-unit" thread lane
-// inside the sweep process, so the unit's activity appears alongside the
-// worker lanes in Perfetto. Job spans are measured in simulated cycles and
-// laid out proportionally onto the job's wall-clock extent (the same
-// scaling addIntervals uses); totalCycles is the run's final cycle count.
-func (t *Trace) AddSCCLane(pid int, js runner.JobStats, totalCycles uint64, slices []SCCJobSlice) {
-	if totalCycles == 0 || len(slices) == 0 {
+// AddSCCLane lays a run's compaction jobs over its harness.simulate span
+// sim as an "scc-unit" lane of the span's process. Jobs are measured in
+// simulated cycles, so each is placed by its cycle share of the run
+// (totalCycles is the run's final count): the lane shows when in the run
+// the unit was busy, not where host time went.
+func (t *Trace) AddSCCLane(sim tracing.SpanData, totalCycles uint64, slices []SCCJobSlice) {
+	pid, ok := t.pids[sim.SpanID]
+	if !ok || totalCycles == 0 || len(slices) == 0 {
 		return
 	}
-	t.events = append(t.events, traceEvent{
-		Name: "thread_name", Ph: "M", PID: pid, TID: sccLaneTID,
-		Args: map[string]any{"name": "scc-unit"},
-	})
-	ts := micros(js.Start)
-	span := micros(js.Wall)
-	scale := span / float64(totalCycles)
+	t.meta("thread_name", pid, sccLaneTID, "scc-unit")
+	perCycle := float64(sim.End.Sub(sim.Start)) / float64(totalCycles)
+	// at truncates, so a job that ends by the last cycle ends inside sim.
+	at := func(cycle uint64) time.Duration {
+		return sim.Start.Sub(t.base) + time.Duration(float64(cycle)*perCycle)
+	}
 	for _, s := range slices {
 		cat := "scc-job"
 		if !s.Committed {
 			cat = "scc-job,discarded"
 		}
+		start := at(s.Start)
 		t.events = append(t.events, traceEvent{
 			Name: fmt.Sprintf("job %d @ %#x", s.JobID, s.PC), Cat: cat, Ph: "X",
-			TS: ts + float64(s.Start)*scale, Dur: float64(s.Cycles) * scale,
+			TS: micros(start), Dur: micros(at(s.Start+s.Cycles) - start),
 			PID: pid, TID: sccLaneTID,
 			Args: map[string]any{
 				"job_id":    s.JobID,
@@ -163,54 +175,6 @@ func (t *Trace) AddSCCLane(pid int, js runner.JobStats, totalCycles uint64, slic
 		})
 	}
 }
-
-// spanLaneTID keeps the span lane clear of the worker and scc-unit
-// lanes.
-const spanLaneTID = sccLaneTID + 1
-
-// AddSpanLane renders a finished span tree (tracing.SpanData from a
-// Tracer) as a dedicated thread lane inside process pid, next to the
-// worker lanes. Span wall-clock times are rebased so the earliest span
-// starts at t=0 — the same origin AddSweep's scheduler slices use — so
-// harness spans line up with the job slices they cover. Parent/child
-// nesting falls out of Chrome's complete-event containment rules.
-func (t *Trace) AddSpanLane(pid int, lane string, spans []tracing.SpanData) {
-	if len(spans) == 0 {
-		return
-	}
-	base := spans[0].Start
-	for _, sd := range spans[1:] {
-		if sd.Start.Before(base) {
-			base = sd.Start
-		}
-	}
-	t.events = append(t.events, traceEvent{
-		Name: "thread_name", Ph: "M", PID: pid, TID: spanLaneTID,
-		Args: map[string]any{"name": lane},
-	})
-	for _, sd := range spans {
-		args := map[string]any{
-			"trace_id": sd.TraceID.String(),
-			"span_id":  sd.SpanID.String(),
-		}
-		for _, a := range sd.Attrs {
-			args[a.Key] = a.Value
-		}
-		cat := "span"
-		if sd.Err != "" {
-			cat = "span,error"
-			args["error"] = sd.Err
-		}
-		t.events = append(t.events, traceEvent{
-			Name: sd.Name, Cat: cat, Ph: "X",
-			TS: micros(sd.Start.Sub(base)), Dur: micros(sd.End.Sub(sd.Start)),
-			PID: pid, TID: spanLaneTID, Args: args,
-		})
-	}
-}
-
-// Empty reports whether no sweep has been added.
-func (t *Trace) Empty() bool { return len(t.events) == 0 }
 
 // Encode writes the catapult JSON object.
 func (t *Trace) Encode(w io.Writer) error {

@@ -16,6 +16,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sccsim/internal/cache"
 	"sccsim/internal/scc"
@@ -78,33 +79,54 @@ var ErrInvalidConfig = errors.New("pipeline: invalid config")
 // functional-unit pool with no units (Machine.Run would loop forever
 // inside one cycle, below the progress guard), a cache level with no
 // sets or ways, an unoptimized micro-op cache partition with no sets, or
-// a non-positive constant width (New or the SCC unit would panic). The
+// a non-positive constant width (New or the SCC unit would panic); a
+// negative latency, which would simulate impossible timing (zero is a
+// legal latency); and an SCC unit with no optimized partition to fill,
+// which would run and be charged for lines that can never stream. The
 // error wraps ErrInvalidConfig and names the field and its value. Zero
 // widths and queue sizes are left to the progress guard, which turns
 // them into a Run error.
 func (c Config) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
+	optMin := math.MinInt // without the SCC unit, no optimized partition is needed
+	if c.SCCEnabled {
+		optMin = 1
+	}
+	for _, r := range [...]struct {
+		name   string
+		v, min int
 	}{
-		{"IntALUs", c.IntALUs},
-		{"MulUnits", c.MulUnits},
-		{"DivUnits", c.DivUnits},
-		{"FPUnits", c.FPUnits},
-		{"MemPorts", c.MemPorts},
-		{"Hier.L1I.Sets", c.Hier.L1I.Sets},
-		{"Hier.L1I.Ways", c.Hier.L1I.Ways},
-		{"Hier.L1D.Sets", c.Hier.L1D.Sets},
-		{"Hier.L1D.Ways", c.Hier.L1D.Ways},
-		{"Hier.L2.Sets", c.Hier.L2.Sets},
-		{"Hier.L2.Ways", c.Hier.L2.Ways},
-		{"Hier.L3.Sets", c.Hier.L3.Sets},
-		{"Hier.L3.Ways", c.Hier.L3.Ways},
-		{"UC.UnoptSets", c.UC.UnoptSets},
-		{"SCC.ConstWidthBits", c.SCC.ConstWidthBits},
+		{"IntALUs", c.IntALUs, 1},
+		{"MulUnits", c.MulUnits, 1},
+		{"DivUnits", c.DivUnits, 1},
+		{"FPUnits", c.FPUnits, 1},
+		{"MemPorts", c.MemPorts, 1},
+		{"Hier.L1I.Sets", c.Hier.L1I.Sets, 1},
+		{"Hier.L1I.Ways", c.Hier.L1I.Ways, 1},
+		{"Hier.L1D.Sets", c.Hier.L1D.Sets, 1},
+		{"Hier.L1D.Ways", c.Hier.L1D.Ways, 1},
+		{"Hier.L2.Sets", c.Hier.L2.Sets, 1},
+		{"Hier.L2.Ways", c.Hier.L2.Ways, 1},
+		{"Hier.L3.Sets", c.Hier.L3.Sets, 1},
+		{"Hier.L3.Ways", c.Hier.L3.Ways, 1},
+		{"UC.UnoptSets", c.UC.UnoptSets, 1},
+		{"UC.OptSets", c.UC.OptSets, optMin},
+		{"UC.OptWays", c.UC.OptWays, optMin},
+		{"SCC.ConstWidthBits", c.SCC.ConstWidthBits, 1},
+		{"DecodeLatency", c.DecodeLatency, 0},
+		{"UopCacheLatency", c.UopCacheLatency, 0},
+		{"IntLatency", c.IntLatency, 0},
+		{"MulLatency", c.MulLatency, 0},
+		{"DivLatency", c.DivLatency, 0},
+		{"FPLatency", c.FPLatency, 0},
+		{"RedirectLatency", c.RedirectLatency, 0},
+		{"Hier.L1I.Latency", c.Hier.L1I.Latency, 0},
+		{"Hier.L1D.Latency", c.Hier.L1D.Latency, 0},
+		{"Hier.L2.Latency", c.Hier.L2.Latency, 0},
+		{"Hier.L3.Latency", c.Hier.L3.Latency, 0},
+		{"Hier.DRAMLatency", c.Hier.DRAMLatency, 0},
 	} {
-		if f.v < 1 {
-			return fmt.Errorf("%w: %s = %d, must be >= 1", ErrInvalidConfig, f.name, f.v)
+		if r.v < r.min {
+			return fmt.Errorf("%w: %s = %d, must be >= %d", ErrInvalidConfig, r.name, r.v, r.min)
 		}
 	}
 	return nil

@@ -29,11 +29,6 @@ type ProgressEvent struct {
 	Job     JobStats
 }
 
-// UopsPerSec returns the job's simulation throughput.
-func (j JobStats) UopsPerSec() float64 {
-	return stats.Ratio(float64(j.Uops), j.Wall.Seconds())
-}
-
 // Summary aggregates a sweep's telemetry.
 type Summary struct {
 	Jobs      []JobStats

@@ -106,16 +106,16 @@ func (j *job) append(typ string, payload any) {
 	j.mu.Unlock()
 }
 
-// eventsFrom returns the log suffix past cursor, the channel that will
-// be closed on the next append, and whether the job is terminal. SSE
-// handlers loop on it: drain, flush, wait.
-func (j *job) eventsFrom(cursor int) (evs []event, update <-chan struct{}, terminal bool) {
+// eventsFrom returns the log suffix past cursor and the channel that
+// will be closed on the next append. SSE handlers loop on it: drain,
+// flush, wait.
+func (j *job) eventsFrom(cursor int) (evs []event, update <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if cursor < len(j.events) {
 		evs = j.events[cursor:]
 	}
-	return evs, j.update, j.state.terminal()
+	return evs, j.update
 }
 
 // begin transitions queued → running and records the run context's

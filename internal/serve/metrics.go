@@ -1,25 +1,19 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
-	"sccsim/internal/stats"
 	"sccsim/internal/telemetry"
 )
-
-// runWindow bounds the run-phase samples the Retry-After estimate
-// averages over; old samples are overwritten ring-style.
-const runWindow = 1024
 
 // metrics is the service's instrument set, backed by a per-server
 // telemetry.Registry so tests can run many servers without name
 // collisions. The registry renders the /metrics.prom Prometheus
 // exposition. End-to-end (submit → done) latency goes to a fixed-bucket
 // histogram whose buckets carry trace-id exemplars; percentiles are a
-// histogram_quantile query away. Retry-After estimates come from a
-// bounded ring of run-phase times, so near-zero cache hits cannot skew
-// the queue-drain estimate.
+// histogram_quantile query away. Retry-After estimates come from the
+// run-phase histogram, which only simulated jobs feed, so near-zero
+// cache hits cannot skew the queue-drain estimate.
 type metrics struct {
 	reg   *telemetry.Registry
 	start time.Time
@@ -37,10 +31,6 @@ type metrics struct {
 	compares    *telemetry.Counter
 	latency     *telemetry.Histogram // end-to-end job latency, seconds
 	runWall     *telemetry.Histogram // run-phase wall, seconds
-
-	mu      sync.Mutex
-	runSecs []float64 // run-phase wall ring, seconds
-	runIdx  int
 }
 
 // initMetrics registers the server's instruments. Called from New after
@@ -97,18 +87,4 @@ func (m *metrics) observeLatency(d time.Duration, traceID string) {
 
 func (m *metrics) observeRun(d time.Duration) {
 	m.runWall.Observe(d.Seconds())
-	m.mu.Lock()
-	if len(m.runSecs) < runWindow {
-		m.runSecs = append(m.runSecs, d.Seconds())
-	} else {
-		m.runSecs[m.runIdx] = d.Seconds()
-		m.runIdx = (m.runIdx + 1) % runWindow
-	}
-	m.mu.Unlock()
-}
-
-func (m *metrics) meanRunSeconds() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return stats.Mean(m.runSecs)
 }

@@ -19,27 +19,45 @@ func newTestServer(t *testing.T) *Server {
 	return s
 }
 
-// TestRunRingWraparound covers the run-phase ring the Retry-After
-// estimate reads: bounded, and the mean reflects only recent samples.
-func TestRunRingWraparound(t *testing.T) {
-	s := newTestServer(t)
-	m := &s.met
-	// Fill the window with 10s samples, then overwrite it entirely with
-	// 1s samples: the mean must forget the old regime.
-	for i := 0; i < runWindow; i++ {
-		m.observeRun(10 * time.Second)
+// TestRetryAfterFromRunMean pins the Retry-After estimate to the mean
+// of every simulated run's wall time, which the
+// sccserve_run_wall_seconds histogram records: ⌈mean × (queued+1) /
+// workers⌉ seconds, clamped to 1..60.
+func TestRetryAfterFromRunMean(t *testing.T) {
+	sec := func(s ...float64) []time.Duration {
+		var ds []time.Duration
+		for _, x := range s {
+			ds = append(ds, time.Duration(x*float64(time.Second)))
+		}
+		return ds
 	}
-	for i := 0; i < runWindow; i++ {
-		m.observeRun(1 * time.Second)
+	cases := []struct {
+		runs            []time.Duration
+		queued, workers int
+		want            int
+	}{
+		{nil, 0, 1, 1},             // no simulated run yet
+		{sec(3, 5), 0, 2, 2},       // 4 × 1 / 2
+		{sec(3, 5), 2, 4, 3},       // 4 × 3 / 4
+		{sec(1, 2), 1, 2, 2},       // 1.5 × 2 / 2 = 1.5, rounded up
+		{sec(2.0005), 0, 1, 3},     // a ceiling, not a round-up past 0.001
+		{sec(0.1), 0, 1, 1},        // 0.1, raised to the floor
+		{sec(50, 70), 3, 2, 60},    // 60 × 4 / 2 = 120, capped
+		{sec(1, 1, 1, 9), 1, 1, 6}, // the mean of all runs, not the last
 	}
-	if mean := m.meanRunSeconds(); mean != 1 {
-		t.Errorf("mean run seconds = %v after full overwrite, want 1", mean)
-	}
-	m.mu.Lock()
-	n := len(m.runSecs)
-	m.mu.Unlock()
-	if n != runWindow {
-		t.Errorf("run ring length = %d, want %d", n, runWindow)
+	for _, c := range cases {
+		s := &Server{cfg: Config{Workers: c.workers}, queue: make(chan *job, 4)}
+		s.initMetrics()
+		for _, d := range c.runs {
+			s.met.observeRun(d)
+		}
+		for i := 0; i < c.queued; i++ {
+			s.queue <- nil
+		}
+		if got := s.retryAfter(); got != c.want {
+			t.Errorf("runs %v, %d queued, %d workers: Retry-After %d, want %d",
+				c.runs, c.queued, c.workers, got, c.want)
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -46,6 +47,7 @@ import (
 	"sccsim/internal/harness"
 	"sccsim/internal/pipeline"
 	"sccsim/internal/runner"
+	"sccsim/internal/stats"
 	"sccsim/internal/telemetry"
 	"sccsim/internal/tracing"
 	"sccsim/internal/workloads"
@@ -606,15 +608,15 @@ func (s *Server) probeCache(j *job) bool {
 
 // retryAfter estimates, in whole seconds, how long until a queue slot
 // frees: queued work divided by the pool's drain rate, using the mean
-// of recently observed run times. Clamped to [1, 60].
+// run time of every simulated job so far. Clamped to [1, 60].
 func (s *Server) retryAfter() int {
-	mean := s.met.meanRunSeconds()
+	mean := stats.Ratio(s.met.runWall.Sum(), float64(s.met.runWall.Count()))
 	if mean <= 0 {
 		return 1
 	}
 	queued := len(s.queue) + 1
 	est := mean * float64(queued) / float64(s.cfg.Workers)
-	sec := int(est + 0.999)
+	sec := int(math.Ceil(est))
 	if sec < 1 {
 		sec = 1
 	}

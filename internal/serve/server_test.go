@@ -240,6 +240,40 @@ func TestSSEStreamsLifecycleAndTerminates(t *testing.T) {
 	}
 }
 
+// TestSSEWaitsForDoneEvent: a job turns terminal just before its done
+// event is appended (finish ends the job's trace in between). A stream
+// that reads the log in that gap must wait for the done event and end
+// with it; it used to close without one, which
+// TestSSEStreamsLifecycleAndTerminates hit once under the race
+// detector.
+func TestSSEWaitsForDoneEvent(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	w, _ := workloads.ByName("mcf")
+	j := srv.newJob(w, pipeline.Icelake(), "hash", 0, "", nil, nil)
+	j.mu.Lock()
+	j.state = StateDone // the gap: terminal, done event not yet appended
+	j.mu.Unlock()
+
+	// Get returns once the handler has drained the log and flushed.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	j.append(eventDone, doneEvent{State: string(StateDone), ConfigHash: "hash"})
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(strings.TrimSpace(string(body)), `data: {"state":"done","config_hash":"hash","from_cache":false}`) {
+		t.Errorf("stream does not end with the done event:\n%s", body)
+	}
+}
+
 func TestSSETerminatesOnCancellation(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Close()
@@ -462,22 +496,34 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsUnsimulatableConfigs: a raw config that
-// pipeline.Config.Validate rejects answers 400 at admission, naming the
-// field, without a job record or a worker. Before the check, a config
-// with no integer ALUs was admitted and hung the only worker, so the
-// valid job posted after the bad ones never ran.
+// pipeline.Config.Validate rejects (a zero count or geometry, a
+// negative latency) answers 400 at admission, naming the field, without
+// a job record or a worker. Before the check, a config with no integer
+// ALUs was admitted and hung the only worker, so the valid job posted
+// after the bad ones never ran.
 func TestSubmitRejectsUnsimulatableConfigs(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	bad := map[string]int{}
 	for _, field := range []string{
 		"IntALUs", "MulUnits", "DivUnits", "FPUnits", "MemPorts",
 		"Hier.L1I.Sets", "Hier.L1I.Ways", "Hier.L1D.Sets", "Hier.L1D.Ways",
 		"Hier.L2.Sets", "Hier.L2.Ways", "Hier.L3.Sets", "Hier.L3.Ways",
-		"UC.UnoptSets", "SCC.ConstWidthBits",
+		"UC.UnoptSets", "SCC.ConstWidthBits", "UC.OptSets", "UC.OptWays",
 	} {
+		bad[field] = 0
+	}
+	for _, field := range []string{
+		"DecodeLatency", "UopCacheLatency", "IntLatency", "MulLatency",
+		"DivLatency", "FPLatency", "RedirectLatency", "Hier.L1I.Latency",
+		"Hier.L1D.Latency", "Hier.L2.Latency", "Hier.L3.Latency", "Hier.DRAMLatency",
+	} {
+		bad[field] = -1
+	}
+	for field, v := range bad {
 		raw, err := json.Marshal(pipeline.IcelakeSCC(scc.LevelFull))
 		if err != nil {
 			t.Fatal(err)
@@ -491,7 +537,7 @@ func TestSubmitRejectsUnsimulatableConfigs(t *testing.T) {
 		for _, k := range path[:len(path)-1] {
 			obj = obj[k].(map[string]any)
 		}
-		obj[path[len(path)-1]] = 0
+		obj[path[len(path)-1]] = v
 		raw, _ = json.Marshal(cfg)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 			strings.NewReader(`{"workload":"xalancbmk","max_uops":3000,"config":`+string(raw)+`}`))
@@ -500,8 +546,8 @@ func TestSubmitRejectsUnsimulatableConfigs(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field+" = 0") {
-			t.Errorf("%s = 0: status %d (%s), want 400 naming the field", field, resp.StatusCode, body)
+		if want := field + " = " + strconv.Itoa(v); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d (%s), want 400 naming the field", want, resp.StatusCode, body)
 		}
 	}
 	if n := srv.met.submitted.Value(); n != 0 {

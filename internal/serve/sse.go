@@ -38,19 +38,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	defer heartbeat.Stop()
 	cursor := 0
 	for {
-		evs, update, terminal := j.eventsFrom(cursor)
+		evs, update := j.eventsFrom(cursor)
+		done := false
 		for _, e := range evs {
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", cursor, e.typ, e.data)
 			cursor++
+			done = e.typ == eventDone
 		}
 		fl.Flush()
-		if terminal {
-			// The done event is the last entry the log ever gets; once it
-			// is drained the stream is complete.
-			if evs2, _, _ := j.eventsFrom(cursor); len(evs2) == 0 {
-				return
-			}
-			continue
+		// The done event is the last entry the log ever gets, appended
+		// just after the job turns terminal: the stream is complete once
+		// it is written, not once the state is terminal.
+		if done {
+			return
 		}
 		select {
 		case <-update:

@@ -10,7 +10,7 @@ import (
 )
 
 // SpanData is one finished span, the exchange form every exporter
-// consumes (OTLP JSON, the Chrome-trace span lane, tree validation).
+// consumes (OTLP JSON, the Chrome trace, tree validation).
 type SpanData struct {
 	TraceID  TraceID
 	SpanID   SpanID

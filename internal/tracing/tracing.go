@@ -1,9 +1,9 @@
 // Package tracing is the third observability pillar next to the metrics
 // registry and the structured logs (internal/telemetry): per-request
 // span trees. A Tracer collects the spans of one trace — one submitted
-// job, one sweep — and exports them as OTLP-compatible JSON, merged into
-// the Chrome-trace lanes (obs.Trace.AddSpanLane), or as exemplar links
-// on latency histograms.
+// job, one sweep — and exports them as OTLP-compatible JSON, as a Chrome
+// trace (obs.NewTrace renders the tree), or as exemplar links on latency
+// histograms.
 //
 // Design constraints, in order:
 //
@@ -198,6 +198,13 @@ func (t *Tracer) nextSpanID(seq uint64) SpanID {
 // makes a root-level span: it parents under the inbound remote span when
 // the trace carries one. Most callers use the context-based Start.
 func (t *Tracer) StartSpan(name string, parent SpanID, attrs ...Attr) *Span {
+	return t.StartSpanAt(time.Now(), name, parent, attrs...)
+}
+
+// StartSpanAt is StartSpan for a span that began at start, before the
+// call: a span whose extent is only known once it ends, such as a
+// sampling window recorded when the window closes.
+func (t *Tracer) StartSpanAt(start time.Time, name string, parent SpanID, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
@@ -211,7 +218,7 @@ func (t *Tracer) StartSpan(name string, parent SpanID, attrs ...Attr) *Span {
 		name:     name,
 		spanID:   t.nextSpanID(t.seq),
 		parentID: parent,
-		start:    time.Now(),
+		start:    start,
 		attrs:    attrs,
 	}
 	t.spans = append(t.spans, sp)
@@ -235,8 +242,9 @@ func (t *Tracer) Finish() {
 	}
 }
 
-// Spans snapshots the trace in span start order. Open spans export with
-// a zero End; call Finish first for a complete trace.
+// Spans snapshots the trace in the order its spans were started (for a
+// StartSpanAt span, the order of the call). Open spans export with a
+// zero End; call Finish first for a complete trace.
 func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
