@@ -160,6 +160,9 @@ func TestCLIRejectsNonPositiveFlightCapacity(t *testing.T) {
 // a -snapshot-dir that collides with an existing regular file are both
 // usage errors (exit 2) fired before any simulation or serving starts —
 // the store would otherwise fail on first save, deep inside a sweep.
+// So are -json and -cache with the simpoint-snapshot experiment, which
+// produces no run manifest to write or reuse: the directory they name
+// must not be created.
 func TestCLIRejectsBadSnapshotFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI builds in -short mode")
@@ -171,18 +174,27 @@ func TestCLIRejectsBadSnapshotFlags(t *testing.T) {
 	if err := os.WriteFile(notADir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	jsonDir := filepath.Join(t.TempDir(), "json")
+	cacheDir := filepath.Join(t.TempDir(), "cache")
 	cases := []struct {
-		name string
-		tool string
-		args []string
-		msg  string
+		name   string
+		tool   string
+		args   []string
+		msg    string
+		absent string // a path the command must not create
 	}{
 		{"sccbench/negative-cap", "sccbench",
 			[]string{"-snapshot-max-bytes", "-1", "-experiment", "simpoint-snapshot"},
-			"-snapshot-max-bytes must be >= 0"},
+			"-snapshot-max-bytes must be >= 0", ""},
 		{"sccbench/dir-is-file", "sccbench",
 			[]string{"-snapshot-dir", notADir, "-experiment", "simpoint-snapshot"},
-			"-snapshot-dir " + notADir + " exists and is not a directory"},
+			"-snapshot-dir " + notADir + " exists and is not a directory", ""},
+		{"sccbench/json-with-simpoint", "sccbench",
+			[]string{"-json", jsonDir, "-experiment", "fig6, simpoint-snapshot", "-workloads", "mcf", "-max-uops", "1000"},
+			"-json does not apply to simpoint-snapshot", jsonDir},
+		{"sccbench/cache-with-simpoint", "sccbench",
+			[]string{"-cache", cacheDir, "-experiment", "simpoint-snapshot", "-workloads", "mcf", "-max-uops", "30000"},
+			"-cache does not apply to simpoint-snapshot", cacheDir},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -197,6 +209,9 @@ func TestCLIRejectsBadSnapshotFlags(t *testing.T) {
 			}
 			if !strings.Contains(string(out), tc.msg) {
 				t.Errorf("%s stderr missing %q:\n%s", tc.tool, tc.msg, out)
+			}
+			if _, err := os.Stat(tc.absent); tc.absent != "" && !os.IsNotExist(err) {
+				t.Errorf("%s created %s (stat err %v)", tc.tool, tc.absent, err)
 			}
 		})
 	}

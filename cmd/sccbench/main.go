@@ -30,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -90,6 +91,23 @@ func run() int {
 		if info, err := os.Stat(*snapshotDir); err == nil && !info.IsDir() {
 			fmt.Fprintf(os.Stderr, "sccbench: -snapshot-dir %s exists and is not a directory\n", *snapshotDir)
 			return 2
+		}
+	}
+	selected := []string{"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead", "ext"}
+	if *experiment != "all" {
+		selected = strings.Split(*experiment, ",")
+	}
+	for i, name := range selected {
+		selected[i] = strings.TrimSpace(name)
+	}
+	if slices.Contains(selected, "simpoint-snapshot") {
+		// The SimPoint estimates are not per-run results: there is no
+		// manifest to write or to serve from a cache.
+		for _, f := range []struct{ name, dir string }{{"-json", *jsonDir}, {"-cache", *cacheDir}} {
+			if f.dir != "" {
+				fmt.Fprintf(os.Stderr, "sccbench: %s does not apply to simpoint-snapshot, which writes no run manifests\n", f.name)
+				return 2
+			}
 		}
 	}
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -266,19 +284,13 @@ func run() int {
 		},
 	}
 
-	order := []string{"table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "overhead", "ext"}
-	selected := order
-	if *experiment != "all" {
-		selected = strings.Split(*experiment, ",")
-		for _, name := range selected {
-			if _, ok := experiments[strings.TrimSpace(name)]; !ok {
-				fmt.Fprintf(os.Stderr, "sccbench: unknown experiment %q\n", name)
-				return 2
-			}
+	for _, name := range selected {
+		if _, ok := experiments[name]; !ok {
+			fmt.Fprintf(os.Stderr, "sccbench: unknown experiment %q\n", name)
+			return 2
 		}
 	}
 	for _, name := range selected {
-		name = strings.TrimSpace(name)
 		if !runExp(name, experiments[name]) {
 			return 1
 		}

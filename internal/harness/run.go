@@ -92,11 +92,12 @@ type Options struct {
 	// either way.
 	Parallel int
 	// SnapshotDir, when non-empty, persists SimPointEstimateSnapshot's
-	// warmup snapshots in a content-addressed store beside the result
+	// warmup checkpoints in a content-addressed store beside the result
 	// cache, keyed by (workload, WarmupHash, interval length, boundary):
-	// sweeps of configs that differ only in work budget — and later
-	// invocations entirely — restore instead of re-warming. Empty keeps
-	// snapshots in memory for the current sweep.
+	// later estimates of configs that differ only in work budget, and
+	// later invocations, restore a representative's checkpoint instead
+	// of walking to it. Empty takes no checkpoint: one detailed walk
+	// measures every interval, as SimPointEstimate does.
 	SnapshotDir string
 	// SnapshotMaxBytes caps the on-disk snapshot store; least-recently-
 	// used slots are evicted past the cap. 0 means unbounded.
@@ -174,6 +175,12 @@ func (o Options) ctx() context.Context {
 // every sweep job set up their machines through it.
 func Prepare(cfg pipeline.Config, w workloads.Workload, opts Options) (*pipeline.Machine, error) {
 	cfg.MaxUops = opts.maxUops(w)
+	return newMachine(cfg, w)
+}
+
+// newMachine builds a machine for w under cfg, work budget included,
+// and seeds the workload's memory.
+func newMachine(cfg pipeline.Config, w workloads.Workload) (*pipeline.Machine, error) {
 	m, err := pipeline.New(cfg, w.Program())
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)

@@ -10,6 +10,7 @@ import (
 	"sccsim/internal/scc"
 	"sccsim/internal/simpoint"
 	"sccsim/internal/stats"
+	"sccsim/internal/tracing"
 	"sccsim/internal/workloads"
 )
 
@@ -63,35 +64,65 @@ type shardSample struct{ lo, hi reading }
 // workload into intervals of intervalUops and choose up to k
 // representatives. It returns the interval count and the points.
 func selectSimPoints(w workloads.Workload, intervalUops uint64, k int, opts Options) (int, []simpoint.SimPoint, error) {
+	_, span := tracing.Start(opts.ctx(), "simpoint.profile")
+	defer span.End()
 	intervals := ProfileBBV(w, intervalUops, opts.maxUops(w))
 	if len(intervals) == 0 {
 		return 0, nil, fmt.Errorf("harness: %s produced no intervals", w.Name)
 	}
-	return len(intervals), simpoint.Select(intervals, k), nil
+	points := simpoint.Select(intervals, k)
+	span.SetAttr("intervals", len(intervals))
+	span.SetAttr("points", len(points))
+	return len(intervals), points, nil
+}
+
+// upperBounds returns the distinct upper boundaries, ascending, of the
+// intervals an estimate over n intervals reads: each representative's
+// and the full extent's.
+func upperBounds(n int, points []simpoint.SimPoint) []int {
+	his := make([]int, 0, len(points)+1)
+	for _, p := range points {
+		his = append(his, p.Interval+1)
+	}
+	if len(his) == 0 || his[len(his)-1] != n {
+		his = append(his, n)
+	}
+	return his
+}
+
+// walk runs m from boundary from through boundary to, stopping at
+// every interval boundary, and returns its readings at from..to. Each
+// stop's pipeline-drain bubble is part of the measurement, so every
+// estimator stops at the same boundaries. at, when non-nil, is called
+// at each stop past from.
+func walk(m *pipeline.Machine, intervalUops uint64, from, to int, at func(b int) error) ([]reading, error) {
+	rs := make([]reading, 1, to-from+1)
+	rs[0] = reading{cycles: m.Stats.Cycles, uops: m.Stats.CommittedUops}
+	for b := from + 1; b <= to; b++ {
+		m.Cfg.MaxUops = uint64(b) * intervalUops
+		st, err := run(m)
+		if err != nil {
+			return nil, fmt.Errorf("boundary %d: %w", b, err)
+		}
+		rs = append(rs, reading{cycles: st.Cycles, uops: st.CommittedUops})
+		if at != nil {
+			if err := at(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rs, nil
 }
 
 // detailedWalk simulates w on a fresh machine through boundary n,
 // stopping at every interval boundary, and returns the cumulative
-// readings at boundaries 0..n. Each stop's pipeline-drain bubble is part
-// of the measurement, so every estimator stops at the same boundaries.
+// readings at boundaries 0..n.
 func detailedWalk(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, n int) ([]reading, error) {
-	m, err := pipeline.New(cfg, w.Program())
+	m, err := newMachine(cfg, w)
 	if err != nil {
 		return nil, err
 	}
-	if w.MemInit != nil {
-		w.MemInit(m.Oracle.Mem)
-	}
-	rs := make([]reading, n+1)
-	for i := 1; i <= n; i++ {
-		m.Cfg.MaxUops = uint64(i) * intervalUops
-		st, err := run(m)
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = reading{cycles: st.Cycles, uops: st.CommittedUops}
-	}
-	return rs, nil
+	return walk(m, intervalUops, 0, n, nil)
 }
 
 // weightedEstimate is the estimators' shared merge: per-representative
@@ -153,11 +184,13 @@ type SimPointSweep struct {
 }
 
 // SimPointSweepRun estimates every workload's whole-program IPC from
-// SimPoint representatives with SimPointEstimateSnapshot: each
-// workload's detailed warmup runs once, and every representative is
-// restored from its warmup snapshot as its own scheduler job (parallel
-// across Options.Parallel workers, persisted in Options.SnapshotDir when
-// set). Estimates are bit-equal to the serial detailed pass.
+// SimPoint representatives with SimPointEstimateSnapshot, one workload
+// after another, simulating each interval once: one detailed walk
+// measures the intervals whose warmup checkpoints Options.SnapshotDir
+// lacks (all of them without a store) and persists those checkpoints,
+// and each other interval restores its checkpoint as its own scheduler
+// job across Options.Parallel workers. Estimates are bit-equal to the
+// serial detailed pass.
 func SimPointSweepRun(opts Options) (*SimPointSweep, error) {
 	f := &SimPointSweep{}
 	cfg := pipeline.IcelakeSCC(scc.LevelFull)
@@ -180,13 +213,13 @@ func SimPointSweepRun(opts Options) (*SimPointSweep, error) {
 
 // Write prints the estimation table.
 func (f *SimPointSweep) Write(w io.Writer) {
-	section(w, "SimPoint whole-program IPC estimates (sharded, snapshot-restored detailed warmup)")
+	section(w, "SimPoint whole-program IPC estimates (detailed warmup, each interval simulated once)")
 	t := newTable("benchmark", "points", "weighted ipc", "full ipc")
 	for i, name := range f.Names {
 		t.row(name, fmt.Sprintf("%d", f.Points[i]), fmt.Sprintf("%.3f", f.WeightedIPC[i]), fmt.Sprintf("%.3f", f.FullIPC[i]))
 	}
 	t.write(w)
-	fmt.Fprintln(w, "note: each interval restored from a warmup snapshot; estimates are bit-equal to the serial detailed pass")
+	fmt.Fprintln(w, "note: the warmup walk measures the intervals it passes, the rest restore from stored warmup snapshots; estimates are bit-equal to the serial detailed pass")
 }
 
 // blockHeads returns the static basic-block leader PCs of a program

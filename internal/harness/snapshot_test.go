@@ -13,6 +13,7 @@ import (
 	"sccsim/internal/pipeline"
 	"sccsim/internal/scc"
 	"sccsim/internal/snap"
+	"sccsim/internal/tracing"
 	"sccsim/internal/workloads"
 )
 
@@ -197,24 +198,163 @@ func oldVersionSlot(t *testing.T, path string) []byte {
 
 // TestSnapshotShardFallsBackToColdWalk hands a shard a checkpoint that
 // cannot restore: the shard must fall back to a cold detailed walk and
-// measure exactly what the shard restored from a good checkpoint does.
+// measure exactly what the shard restored from a good checkpoint does,
+// which is what the serial walk reads at the interval's boundaries.
 func TestSnapshotShardFallsBackToColdWalk(t *testing.T) {
 	w, _ := workloads.ByName("mcf")
 	cfg := pipeline.IcelakeSCC(scc.LevelFull)
 	const interval, hi = 10_000, 3
-	snaps, err := warmupSnapshots(context.Background(), cfg, w, interval, []int{hi - 1}, WarmupHash(w.Name, cfg), nil)
+	m, err := newMachine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := runSnapshotShard(cfg, w, interval, hi, snaps[hi-1])
+	if _, err := walk(m, interval, 0, hi-1, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := runSnapshotShard(cfg, w, interval, hi, []byte("not a snapshot"))
+	ctx := context.Background()
+	restored, err := runSnapshotShard(ctx, cfg, w, interval, hi, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold != restored {
-		t.Fatalf("cold fallback shard = %+v, restored shard = %+v", cold, restored)
+	cold, err := runSnapshotShard(ctx, cfg, w, interval, hi, []byte("not a snapshot"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	rs, err := detailedWalk(cfg, w, interval, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (shardSample{lo: rs[hi-1], hi: rs[hi]}); cold != restored || restored != want {
+		t.Fatalf("cold fallback shard = %+v, restored shard = %+v, serial walk = %+v", cold, restored, want)
+	}
+}
+
+// TestSnapshotEstimateSimulatesEachIntervalOnce pins the work the
+// snapshot estimator does, by pipeline_cycles_total and by its spans,
+// and that its estimate equals the serial one in every store state:
+//
+//   - without a store, and over an empty store (cold), one walk
+//     measures every interval, so it advances the counter by exactly
+//     the serial walk's final cycle count and restores nothing;
+//   - over the store the cold pass filled (warm), no walk runs and one
+//     restore shard per distinct boundary simulates just its interval;
+//   - over a store with some slots deleted, the walk and restore shards
+//     split the intervals.
+//
+// xalancbmk at 200k uops with k=6 picks interval n-1 as its last
+// representative, so the full-extent interval is also a
+// representative's; mcf at 90k with k=3 does not.
+func TestSnapshotEstimateSimulatesEachIntervalOnce(t *testing.T) {
+	cfg := pipeline.IcelakeSCC(scc.LevelFull)
+	cases := []struct {
+		workload        string
+		budget, ivUops  uint64
+		k               int
+		lastIsFullRange bool
+	}{
+		{"xalancbmk", 200_000, 25_000, 6, true},
+		{"mcf", 90_000, 10_000, 3, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.workload, func(t *testing.T) {
+			w, _ := workloads.ByName(tc.workload)
+			opts := Options{MaxUops: tc.budget, Parallel: 2}
+			serial, err := SimPointEstimate(cfg, w, tc.ivUops, tc.k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := int(tc.budget / tc.ivUops)
+			if last := serial.Points[len(serial.Points)-1].Interval; (last == n-1) != tc.lastIsFullRange {
+				t.Fatalf("last representative is interval %d of %d; the case wants it %v to be n-1", last, n, tc.lastIsFullRange)
+			}
+			rs, err := detailedWalk(cfg, w, tc.ivUops, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			his := upperBounds(n, serial.Points)
+			var shardCycles int64
+			for _, hi := range his {
+				shardCycles += int64(rs[hi].cycles - rs[hi-1].cycles)
+			}
+
+			dir := t.TempDir()
+			pass := func(name, dir string, wantCycles int64, wantWalks, wantShards int) []tracing.SpanData {
+				t.Helper()
+				tr := tracing.New(tracing.MintTraceID())
+				o := tracedOptions(tr, opts)
+				o.SnapshotDir = dir
+				c0 := cycleMet.cycles.Value()
+				got, err := SimPointEstimateSnapshot(cfg, w, tc.ivUops, tc.k, o)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, serial) {
+					t.Errorf("%s: estimate %+v, serial %+v", name, got, serial)
+				}
+				if d := cycleMet.cycles.Value() - c0; wantCycles >= 0 && d != wantCycles {
+					t.Errorf("%s: advanced pipeline_cycles_total by %d, want %d", name, d, wantCycles)
+				}
+				tr.Finish()
+				count := map[string]int{}
+				for _, sp := range tr.Spans() {
+					count[sp.Name]++
+				}
+				shards := count["simpoint.shard"]
+				if count["simpoint.walk"] != wantWalks || shards != wantShards && !(wantShards < 0 && shards > 0) {
+					t.Errorf("%s: %d walk and %d shard spans, want %d and %d", name,
+						count["simpoint.walk"], shards, wantWalks, wantShards)
+				}
+				return tr.Spans()
+			}
+			serialCycles := int64(rs[n].cycles)
+			pass("no store", "", serialCycles, 1, 0)
+			for _, sp := range pass("cold", dir, serialCycles, 1, 0) {
+				switch sp.Name {
+				case "simpoint.profile":
+					if spanAttr(sp, "intervals") != n || spanAttr(sp, "points") != len(serial.Points) {
+						t.Errorf("cold: simpoint.profile attrs %v, want %d intervals and %d points", sp.Attrs, n, len(serial.Points))
+					}
+				case "simpoint.walk":
+					if spanAttr(sp, "from") != int64(0) || spanAttr(sp, "to") != int64(n) || spanAttr(sp, "measured") != len(serial.Points) {
+						t.Errorf("cold: simpoint.walk attrs %v, want from 0 to %d measuring %d", sp.Attrs, n, len(serial.Points))
+					}
+				}
+			}
+			restoredAt := map[int64]bool{}
+			for _, sp := range pass("warm", dir, shardCycles, 0, len(his)) {
+				if sp.Name == "simpoint.shard" {
+					restoredAt[spanAttr(sp, "boundary").(int64)] = spanAttr(sp, "restored").(bool)
+				}
+			}
+			for _, hi := range his {
+				// Boundary 0 needs no checkpoint: that shard starts fresh.
+				if r, ok := restoredAt[int64(hi-1)]; !ok || r != (hi > 1) {
+					t.Errorf("warm: shard at boundary %d: present %v, restored %v", hi-1, ok, r)
+				}
+			}
+
+			// Delete the slot of a middle boundary: the walk resumes below
+			// it and the boundaries above it restore (-1: any count > 0).
+			mid := his[len(his)/2] - 1
+			slot := filepath.Join(dir, snap.Key(w.Name, WarmupHash(w.Name, cfg), tc.ivUops, mid)+".snap")
+			if err := os.Remove(slot); err != nil {
+				t.Fatal(err)
+			}
+			pass("partial", dir, -1, 1, -1)
+		})
+	}
+}
+
+// spanAttr returns the value of sp's attribute key, or nil.
+func spanAttr(sp tracing.SpanData, key string) any {
+	for _, a := range sp.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
 }

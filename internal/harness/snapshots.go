@@ -3,11 +3,11 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"sccsim/internal/obs"
 	"sccsim/internal/pipeline"
 	"sccsim/internal/runner"
+	"sccsim/internal/simpoint"
 	"sccsim/internal/snap"
 	"sccsim/internal/telemetry"
 	"sccsim/internal/tracing"
@@ -43,16 +43,43 @@ func WarmupHash(workload string, cfg pipeline.Config) string {
 	return obs.ConfigHash(workload, cfg)
 }
 
-// warmupSnapshots produces the snapshot at every boundary in needed
-// (1-based interval boundaries, ascending) for one workload/config. The
-// store is probed first; remaining boundaries come from one serial
-// detailed warmup walk that stops at every interval boundary — the same
-// stops the serial estimator makes, which is what keeps restored runs
-// byte-identical — snapshotting (and persisting) at each needed stop.
-// The walk itself resumes from the deepest store hit below the first
-// miss, so incremental sweeps never re-warm covered prefixes.
-func warmupSnapshots(ctx context.Context, cfg pipeline.Config, w workloads.Workload, intervalUops uint64, needed []int, warmupHash string, store *snap.Store) (map[int][]byte, error) {
-	snaps := make(map[int][]byte, len(needed))
+// warmupWalk is the readings a warmup walk took at the boundaries it
+// stopped at: rs[i] at boundary from+i. The zero value passed none.
+type warmupWalk struct {
+	from int
+	rs   []reading
+}
+
+// sample returns the readings at both boundaries of the interval
+// ending at boundary hi, if the walk passed them.
+func (wk warmupWalk) sample(hi int) (shardSample, bool) {
+	if hi-1 < wk.from || hi-wk.from >= len(wk.rs) {
+		return shardSample{}, false
+	}
+	return shardSample{lo: wk.rs[hi-1-wk.from], hi: wk.rs[hi-wk.from]}, true
+}
+
+// warmupSnapshots prepares one workload/config's SimPoint estimate over
+// n intervals. An interval is read from two readings, one at each of
+// its boundaries, and the intervals needed are each representative's
+// and the full extent's. The store is probed for the checkpoint at
+// each needed interval's lower boundary. The boundaries that miss are
+// walked once, in detail: from the deepest loaded checkpoint below the
+// first miss (or a fresh machine), stopping at every interval boundary
+// as the serial estimator does, to one interval past the last miss.
+// The walk records its reading at every stop, so it measures every
+// interval it passes. It takes a checkpoint at a missed boundary only
+// to persist it, so without a store it takes none. warmupSnapshots
+// returns the slots it loaded and the walk; a needed interval the walk
+// did not pass restores from its slot.
+func warmupSnapshots(ctx context.Context, cfg pipeline.Config, w workloads.Workload, intervalUops uint64, n int, points []simpoint.SimPoint, warmupHash string, store *snap.Store) (map[int][]byte, warmupWalk, error) {
+	var needed []int // ascending; boundary 0 needs no checkpoint
+	for _, hi := range upperBounds(n, points) {
+		if hi > 1 {
+			needed = append(needed, hi-1)
+		}
+	}
+	loaded := make(map[int][]byte, len(needed))
 	var missing []int
 	for _, b := range needed {
 		if store == nil {
@@ -69,159 +96,163 @@ func warmupSnapshots(ctx context.Context, cfg pipeline.Config, w workloads.Workl
 		span.End()
 		if data != nil {
 			snapMet.hits.Inc()
-			snaps[b] = data
+			loaded[b] = data
 			continue
 		}
 		snapMet.misses.Inc()
 		missing = append(missing, b)
 	}
 	if len(missing) == 0 {
-		return snaps, nil
-	}
-	sort.Ints(missing)
-	maxB := missing[len(missing)-1]
-	missingSet := make(map[int]bool, len(missing))
-	for _, b := range missing {
-		missingSet[b] = true
+		return loaded, warmupWalk{}, nil
 	}
 
 	// Resume the walk from the deepest hit below the first miss, if any:
-	// scan eligible boundaries deepest-first and stop at the first
-	// snapshot that restores, so at most one machine is rebuilt.
+	// scan those boundaries deepest-first and stop at the first
+	// checkpoint that restores, so at most one machine is rebuilt.
 	start := 0
 	var m *pipeline.Machine
-	var eligible []int
-	for _, b := range needed {
-		if snaps[b] != nil && b < missing[0] {
-			eligible = append(eligible, b)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(eligible)))
-	for _, b := range eligible {
-		if rm, err := pipeline.NewMachineFromSnapshot(cfg, w.Program(), snaps[b]); err == nil {
-			start, m = b, rm
-			break
+	for i := len(needed) - 1; i >= 0 && m == nil; i-- {
+		if b := needed[i]; b < missing[0] && loaded[b] != nil {
+			if rm, err := pipeline.NewMachineFromSnapshot(cfg, w.Program(), loaded[b]); err == nil {
+				start, m = b, rm
+			}
 		}
 	}
 	if m == nil {
 		var err error
-		m, err = pipeline.New(cfg, w.Program())
-		if err != nil {
-			return nil, err
-		}
-		if w.MemInit != nil {
-			w.MemInit(m.Oracle.Mem)
+		if m, err = newMachine(cfg, w); err != nil {
+			return nil, warmupWalk{}, err
 		}
 	}
-	for i := start + 1; i <= maxB; i++ {
-		m.Cfg.MaxUops = uint64(i) * intervalUops
-		if _, err := run(m); err != nil {
-			return nil, fmt.Errorf("harness: %s warmup to boundary %d: %w", w.Name, i, err)
+	last := missing[len(missing)-1]
+	wctx, span := tracing.Start(ctx, "simpoint.walk",
+		tracing.Int("from", int64(start)), tracing.Int("to", int64(last+1)))
+	defer span.End()
+	var persist func(b int) error
+	if store != nil {
+		missed := make(map[int]bool, len(missing))
+		for _, b := range missing {
+			missed[b] = true
 		}
-		if !missingSet[i] {
-			continue
-		}
-		data, err := m.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s snapshot at boundary %d: %w", w.Name, i, err)
-		}
-		snaps[i] = data
-		key := snap.Key(w.Name, warmupHash, intervalUops, i)
-		_, span := tracing.Start(ctx, "snapshot.save",
-			tracing.String("key", key), tracing.Int("bytes", int64(len(data))))
-		written, evicted := store.Save(key, data)
-		span.SetAttr("written", written)
-		span.End()
-		if written {
-			snapMet.bytesWritten.Add(int64(len(data)))
-		}
-		if evicted > 0 {
-			snapMet.evictions.Add(int64(evicted))
+		persist = func(b int) error {
+			if !missed[b] {
+				return nil
+			}
+			return saveSnapshot(wctx, m, w, warmupHash, intervalUops, b, store)
 		}
 	}
-	return snaps, nil
+	rs, err := walk(m, intervalUops, start, last+1, persist)
+	if err != nil {
+		span.SetError(err.Error())
+		return nil, warmupWalk{}, fmt.Errorf("harness: %s warmup walk: %w", w.Name, err)
+	}
+	wk := warmupWalk{from: start, rs: rs}
+	measured := 0
+	for _, p := range points {
+		if _, ok := wk.sample(p.Interval + 1); ok {
+			measured++
+		}
+	}
+	span.SetAttr("measured", measured)
+	return loaded, wk, nil
+}
+
+// saveSnapshot checkpoints m at boundary b and persists the checkpoint.
+func saveSnapshot(ctx context.Context, m *pipeline.Machine, w workloads.Workload, warmupHash string, intervalUops uint64, b int, store *snap.Store) error {
+	data, err := m.Snapshot()
+	if err != nil {
+		return fmt.Errorf("snapshot at boundary %d: %w", b, err)
+	}
+	key := snap.Key(w.Name, warmupHash, intervalUops, b)
+	_, span := tracing.Start(ctx, "snapshot.save",
+		tracing.String("key", key), tracing.Int("bytes", int64(len(data))))
+	written, evicted := store.Save(key, data)
+	span.SetAttr("written", written)
+	span.End()
+	if written {
+		snapMet.bytesWritten.Add(int64(len(data)))
+	}
+	if evicted > 0 {
+		snapMet.evictions.Add(int64(evicted))
+	}
+	return nil
 }
 
 // runSnapshotShard measures the interval ending at boundary hi by
-// restoring the warmup snapshot at hi-1 and running exactly one
-// interval in detail. Any restore problem (nil snapshot, decode
-// failure) degrades to a cold detailed walk — slower, never wrong.
-func runSnapshotShard(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, hi int, data []byte) (shardSample, error) {
-	if hi > 1 && data != nil {
-		if m, err := pipeline.NewMachineFromSnapshot(cfg, w.Program(), data); err == nil {
-			lo := reading{cycles: m.Stats.Cycles, uops: m.Stats.CommittedUops}
-			m.Cfg.MaxUops = uint64(hi) * intervalUops
-			st, err := run(m)
-			if err != nil {
-				return shardSample{}, err
-			}
-			return shardSample{lo: lo, hi: reading{cycles: st.Cycles, uops: st.CommittedUops}}, nil
+// restoring the warmup checkpoint at hi-1 and running exactly one
+// interval in detail. Without a checkpoint (the interval from boundary
+// 0) it starts a fresh machine, and a checkpoint that does not restore
+// degrades to a cold detailed walk — slower, never wrong.
+func runSnapshotShard(ctx context.Context, cfg pipeline.Config, w workloads.Workload, intervalUops uint64, hi int, data []byte) (shardSample, error) {
+	_, span := tracing.Start(ctx, "simpoint.shard", tracing.Int("boundary", int64(hi-1)))
+	defer span.End()
+	var m *pipeline.Machine
+	if data != nil {
+		// A checkpoint that does not restore leaves m nil.
+		m, _ = pipeline.NewMachineFromSnapshot(cfg, w.Program(), data)
+	}
+	span.SetAttr("restored", m != nil)
+	from := hi - 1
+	if m == nil {
+		var err error
+		if m, err = newMachine(cfg, w); err != nil {
+			return shardSample{}, err
 		}
+		from = 0
 	}
-	rs, err := detailedWalk(cfg, w, intervalUops, hi)
+	rs, err := walk(m, intervalUops, from, hi, nil)
 	if err != nil {
-		return shardSample{}, err
+		span.SetError(err.Error())
+		return shardSample{}, fmt.Errorf("harness: %s shard at boundary %d: %w", w.Name, hi-1, err)
 	}
-	return shardSample{lo: rs[hi-1], hi: rs[hi]}, nil
+	return shardSample{lo: rs[len(rs)-2], hi: rs[len(rs)-1]}, nil
 }
 
-// SimPointEstimateSnapshot is the snapshot-amortized detailed-warmup
-// estimator: bit-equal to SimPointEstimate, but the detailed warmup
-// prefix is simulated once per (workload, warmup hash) instead of once
-// per representative. One serial walk snapshots the machine at each
-// boundary a representative starts at; every shard then restores its
-// boundary's snapshot and simulates exactly one interval. Total
-// detailed work drops from O(sum of prefixes) to O(program + k
-// intervals), and the per-interval shards parallelize across
-// Options.Parallel workers — submitted longest-first for makespan and
-// merged in canonical point order, so results are byte-identical at any
-// worker count. Snapshots persist in Options.SnapshotDir (when set)
-// keyed by WarmupHash, so later sweeps of budget-only config variants
-// skip warmup entirely.
+// SimPointEstimateSnapshot is the snapshot-backed detailed-warmup
+// estimator: bit-equal to SimPointEstimate, while simulating each
+// interval at most once. The intervals it reads are each
+// representative's and the full extent's. warmupSnapshots probes the
+// store (Options.SnapshotDir, keyed by WarmupHash, so budget-only
+// config variants share it) for the checkpoint each interval starts
+// at, and one detailed walk measures every interval whose checkpoint
+// is missing, persisting the missed checkpoints on its way. Every
+// other interval is a restore shard: it restores its checkpoint and
+// simulates exactly one interval, one shard per distinct boundary.
+// Over an empty store, or without one, the walk measures everything
+// and no shard runs, which is exactly the serial estimator's work;
+// over a full store no walk runs. Shards run across Options.Parallel
+// workers, submitted longest-first for makespan and merged in
+// canonical point order, so results are byte-identical at any worker
+// count.
 func SimPointEstimateSnapshot(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, k int, opts Options) (*SimPointResult, error) {
 	n, points, err := selectSimPoints(w, intervalUops, k, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	// One shard per representative plus the full-extent shard for FullIPC.
-	his := make([]int, 0, len(points)+1)
-	for _, p := range points {
-		his = append(his, p.Interval+1)
-	}
-	his = append(his, n)
-
-	// Collect the distinct warmup boundaries (hi-1) the shards restore at.
-	neededSet := make(map[int]bool)
-	for _, hi := range his {
-		if hi > 1 {
-			neededSet[hi-1] = true
-		}
-	}
-	needed := make([]int, 0, len(neededSet))
-	for b := range neededSet {
-		needed = append(needed, b)
-	}
-	sort.Ints(needed)
-
 	store := snap.NewStore(opts.SnapshotDir, opts.SnapshotMaxBytes)
-	snaps, err := warmupSnapshots(opts.ctx(), cfg, w, intervalUops, needed, WarmupHash(w.Name, cfg), store)
+	loaded, wk, err := warmupSnapshots(opts.ctx(), cfg, w, intervalUops, n, points, WarmupHash(w.Name, cfg), store)
 	if err != nil {
 		return nil, err
 	}
 
-	order := make([]int, len(his))
-	for i := range order {
-		order[i] = i
+	// Each interval read, by upper boundary, from the walk or from the
+	// restore shard that measures it. Shards go longest first.
+	samples := make(map[int]shardSample, len(points)+1)
+	var shards []int
+	his := upperBounds(n, points)
+	for i := len(his) - 1; i >= 0; i-- {
+		s, ok := wk.sample(his[i])
+		samples[his[i]] = s
+		if !ok {
+			shards = append(shards, his[i])
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return his[order[a]] > his[order[b]] })
-	jobs := make([]runner.Job[shardSample], len(order))
-	for ji, si := range order {
-		hi := his[si]
-		jobs[ji] = runner.Job[shardSample]{
+	jobs := make([]runner.Job[shardSample], len(shards))
+	for i, hi := range shards {
+		jobs[i] = runner.Job[shardSample]{
 			Name: fmt.Sprintf("%s@%d", w.Name, hi),
-			Run: func(context.Context) (shardSample, error) {
-				return runSnapshotShard(cfg, w, intervalUops, hi, snaps[hi-1])
+			Run: func(ctx context.Context) (shardSample, error) {
+				return runSnapshotShard(ctx, cfg, w, intervalUops, hi, loaded[hi-1])
 			},
 		}
 	}
@@ -229,9 +260,12 @@ func SimPointEstimateSnapshot(cfg pipeline.Config, w workloads.Workload, interva
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]shardSample, len(his))
-	for ji, si := range order {
-		shards[si] = results[ji]
+	for i, hi := range shards {
+		samples[hi] = results[i]
 	}
-	return weightedEstimate(points, shards, shards[len(points)].hi), nil
+	read := make([]shardSample, len(points))
+	for i, p := range points {
+		read[i] = samples[p.Interval+1]
+	}
+	return weightedEstimate(points, read, samples[n].hi), nil
 }

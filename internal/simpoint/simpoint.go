@@ -30,10 +30,14 @@ type SimPoint struct {
 }
 
 // Profile collects interval fingerprints during a profiling run.
+// Consecutive uops of one block form a run, which is added to the
+// interval's vector in one step when the block changes or the interval
+// closes.
 type Profile struct {
 	intervalUops uint64
 	cur          Interval
 	intervals    []Interval
+	runPC, run   uint64 // the pending run: its block and its uops
 }
 
 // NewProfile creates a profiler with the given interval length in uops
@@ -45,14 +49,27 @@ func NewProfile(intervalUops uint64) *Profile {
 // Touch records one executed uop attributed to the basic block starting at
 // blockPC.
 func (p *Profile) Touch(blockPC uint64) {
-	p.cur.Vec[blockPC]++
+	if blockPC != p.runPC {
+		p.addRun()
+		p.runPC = blockPC
+	}
+	p.run++
 	p.cur.Uops++
 	if p.cur.Uops >= p.intervalUops {
 		p.flush()
 	}
 }
 
+// addRun adds the pending run to the current interval's vector.
+func (p *Profile) addRun() {
+	if p.run > 0 {
+		p.cur.Vec[p.runPC] += p.run
+		p.run = 0
+	}
+}
+
 func (p *Profile) flush() {
+	p.addRun()
 	if p.cur.Uops == 0 {
 		return
 	}

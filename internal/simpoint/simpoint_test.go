@@ -2,6 +2,8 @@ package simpoint
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -27,6 +29,50 @@ func TestProfileSlicesIntervals(t *testing.T) {
 	}
 	if ivs[0].Index != 0 || ivs[2].Index != 2 {
 		t.Error("interval indices wrong")
+	}
+}
+
+// TestProfileRunsMatchPerUopCounts checks the run-length Profile
+// against a reference that counts every uop into the vector on its own:
+// random block sequences of short and long runs, at interval lengths
+// where runs straddle interval boundaries, must give identical
+// intervals.
+func TestProfileRunsMatchPerUopCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, ivUops := range []uint64{1, 3, 100} {
+		for trial := 0; trial < 50; trial++ {
+			var blocks []uint64
+			for len(blocks) < 1000 {
+				// Few distinct blocks, so a block recurs after others and
+				// a run may repeat its predecessor's block.
+				pc := uint64(rng.Intn(6)) * 0x40
+				for n := 1 + rng.Intn(1+rng.Intn(250)); n > 0; n-- {
+					blocks = append(blocks, pc)
+				}
+			}
+			blocks = blocks[:rng.Intn(len(blocks)+1)]
+
+			p := NewProfile(ivUops)
+			var want []Interval
+			cur := Interval{Vec: BBV{}}
+			for _, pc := range blocks {
+				p.Touch(pc)
+				cur.Vec[pc]++
+				cur.Uops++
+				if cur.Uops == ivUops {
+					cur.Index = len(want)
+					want = append(want, cur)
+					cur = Interval{Vec: BBV{}}
+				}
+			}
+			if cur.Uops > 0 {
+				cur.Index = len(want)
+				want = append(want, cur)
+			}
+			if got := p.Intervals(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("interval %d uops, trial %d (%d uops): run-length profile differs from per-uop counts", ivUops, trial, len(blocks))
+			}
+		}
 	}
 }
 

@@ -75,7 +75,8 @@ func MintTraceID() TraceID {
 const TraceparentHeader = "traceparent"
 
 // ParseTraceparent parses a W3C traceparent header value
-// ("00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>"). Unknown
+// ("00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>"). Every
+// field is lowercase hex, as the spec's HEXDIGLC requires. Unknown
 // versions are accepted if they carry the version-00 prefix fields, per
 // the spec's forward-compatibility rule; all-zero ids are invalid.
 func ParseTraceparent(h string) (TraceID, SpanID, bool) {
@@ -94,18 +95,19 @@ func ParseTraceparent(h string) (TraceID, SpanID, bool) {
 	if len(h) > 55 && h[55] != '-' {
 		return t, s, false
 	}
-	if _, err := hex.Decode(t[:], []byte(h[3:35])); err != nil {
-		return TraceID{}, s, false
+	if !isHex(h[3:35]) || !isHex(h[36:52]) || !isHex(h[53:55]) {
+		return t, s, false
 	}
-	if _, err := hex.Decode(s[:], []byte(h[36:52])); err != nil {
-		return TraceID{}, SpanID{}, false
-	}
-	if !isHex(h[53:55]) || t.IsZero() || s.IsZero() {
+	// Both ids are lowercase hex of even length: neither decode fails.
+	_, _ = hex.Decode(t[:], []byte(h[3:35]))
+	_, _ = hex.Decode(s[:], []byte(h[36:52]))
+	if t.IsZero() || s.IsZero() {
 		return TraceID{}, SpanID{}, false
 	}
 	return t, s, true
 }
 
+// isHex reports whether s is lowercase hex.
 func isHex(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]

@@ -9,8 +9,31 @@ import (
 	"time"
 )
 
+// traceparentGood and traceparentBad are TestParseTraceparent's
+// vectors and FuzzParseTraceparent's seeds.
+var (
+	traceparentGood = []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		// A future version with trailing fields is accepted.
+		"cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-what-ever",
+	}
+	traceparentBad = []string{
+		"",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",          // no flags
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace id
+		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span id
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // forbidden version
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // v00 must be exact length
+		"0g-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // bad version hex
+		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",       // bad trace hex
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",       // uppercase ids
+		"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",       // uppercase span id
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0A",       // uppercase flags
+	}
+)
+
 func TestParseTraceparent(t *testing.T) {
-	tid, sid, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	tid, sid, ok := ParseTraceparent(traceparentGood[0])
 	if !ok {
 		t.Fatal("valid traceparent rejected")
 	}
@@ -20,27 +43,39 @@ func TestParseTraceparent(t *testing.T) {
 	if sid.String() != "b7ad6b7169203331" {
 		t.Errorf("span id = %s", sid)
 	}
-
-	bad := []string{
-		"",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",          // no flags
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace id
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span id
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // forbidden version
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // v00 must be exact length
-		"0g-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // bad version hex
-		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",       // bad trace hex
+	for _, h := range traceparentGood[1:] {
+		if _, _, ok := ParseTraceparent(h); !ok {
+			t.Errorf("ParseTraceparent(%q) rejected", h)
+		}
 	}
-	for _, h := range bad {
+	for _, h := range traceparentBad {
 		if _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", h)
 		}
 	}
+}
 
-	// A future version with trailing fields is accepted.
-	if _, _, ok := ParseTraceparent("cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-what-ever"); !ok {
-		t.Error("future-version traceparent with trailing fields rejected")
+// FuzzParseTraceparent feeds arbitrary header values to the parser. It
+// must never panic, and a header it accepts must carry non-zero ids
+// that FormatTraceparent renders back to the header's own id bytes
+// (3 through 52, the ids and the dash after them): only lowercase ids
+// round-trip.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range append(traceparentGood, traceparentBad...) {
+		f.Add(h)
 	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("accepted %q with a zero id", h)
+		}
+		if got := FormatTraceparent(tid, sid); got[3:53] != h[3:53] {
+			t.Fatalf("accepted %q, which formats back as %q", h, got)
+		}
+	})
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {

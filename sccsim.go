@@ -153,12 +153,12 @@ func Figure11(opts Options) (*harness.Fig11, error) { return harness.Fig11Run(op
 func Extension(opts Options) (*harness.Ext, error) { return harness.ExtRun(opts) }
 
 // SimPointSweep estimates every workload's whole-program IPC from
-// SimPoint representatives under full SCC. Each workload's detailed
-// warmup runs once and is checkpointed at the boundaries the
-// representatives start at; every representative is then restored from
-// its checkpoint as its own scheduler job (parallel across
-// Options.Parallel workers, persisted in Options.SnapshotDir when set).
-// Estimates are bit-equal to the serial detailed pass.
+// SimPoint representatives under full SCC, simulating each interval
+// once. A detailed warmup walk measures every interval whose warmup
+// checkpoint Options.SnapshotDir lacks, all of them without a store,
+// and persists those checkpoints; every other representative restores
+// its checkpoint as its own scheduler job, across Options.Parallel
+// workers. Estimates are bit-equal to the serial detailed pass.
 func SimPointSweep(opts Options) (*harness.SimPointSweep, error) {
 	return harness.SimPointSweepRun(opts)
 }
