@@ -30,14 +30,15 @@ check:
 	$(MAKE) bench-json
 
 # Native fuzz targets, each for a short fixed budget: the sparse table
-# decoder, the cache-level restore and the traceparent parser. A new
-# interesting input is minimized for at most 1 s, so the budget goes to
-# fuzzing; a crasher lands in the package's testdata/fuzz and fails the
-# target.
+# decoder, the cache-level restore, the traceparent parser and the
+# assembler. A new interesting input is minimized for at most 1 s, so
+# the budget goes to fuzzing; a crasher lands in the package's
+# testdata/fuzz and fails the target.
 fuzz-smoke:
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzReaderSparse$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheRestore$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tracing -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Reduced-scale benchmark suite: one bench per table/figure + ablations.
 bench:
@@ -46,13 +47,13 @@ bench:
 # Machine-readable benchmark artifact: a reduced-scale fig6+fig7 sweep
 # writes per-run JSON manifests (Manifest.Encode verifies each one
 # round-trips through encoding/json) and the aggregate index becomes
-# BENCH_pr21.json — the headline numbers a perf trajectory can diff.
+# BENCH_pr22.json — the headline numbers a perf trajectory can diff.
 # Committed BENCH_pr*.json baselines from earlier PRs are never rewritten.
 bench-json:
 	rm -rf manifests
 	$(GO) run ./cmd/sccbench -experiment fig6,fig7 \
 	    -workloads xalancbmk,mcf,lbm -max-uops 30000 -json manifests > /dev/null
-	cp manifests/index.json BENCH_pr21.json
+	cp manifests/index.json BENCH_pr22.json
 
 # Regression gate: regenerate the reduced-scale sweep and diff it against
 # the committed PR-2 baseline with direction-aware thresholds (sccdiff

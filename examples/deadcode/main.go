@@ -10,7 +10,6 @@ import (
 
 	"sccsim/internal/asm"
 	"sccsim/internal/scc"
-	"sccsim/internal/uop"
 )
 
 // The Figure 4 flavour: a compiler-optimized basic block whose load is
@@ -38,13 +37,12 @@ under:
 
 func main() {
 	prog := asm.MustAssemble(block)
-	dec := uop.NewDecoder(prog.InstAt)
 
 	// Show the original micro-op sequence.
 	fmt.Println("original micro-ops:")
 	n := 0
 	for _, in := range prog.Insts {
-		us, _ := dec.At(in.Addr)
+		us, _ := prog.Image.At(in.Addr)
 		for i := range us {
 			fmt.Printf("  %2d: [%#x] %v\n", n, in.Addr, &us[i])
 			n++
@@ -55,7 +53,7 @@ func main() {
 	// and the value predictor confidently predicting the load's value.
 	ldPC := prog.Insts[1].Addr
 	env := scc.Env{
-		UopsAt:   dec.At,
+		UopsAt:   prog.Image.At,
 		Resident: func(pc uint64) bool { return true },
 		ProbeValue: func(key uint64) (int64, int, bool) {
 			if key == ldPC<<3 {

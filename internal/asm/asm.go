@@ -23,6 +23,9 @@
 //	    jmp  label
 //	done:
 //	    halt
+//
+// No two instructions may overlap, and no two words: an .org or .data
+// back over emitted code or data is an error.
 package asm
 
 import (
@@ -31,6 +34,7 @@ import (
 	"strings"
 
 	"sccsim/internal/isa"
+	"sccsim/internal/uop"
 )
 
 // CodeBase is the default origin of the code segment.
@@ -40,10 +44,15 @@ const CodeBase uint64 = 0x1000
 const DataBase uint64 = 0x100000
 
 // Program is an assembled UXA program: the instruction stream with resolved
-// addresses, the initial data image, and the entry point.
+// addresses, its decoded micro-op image, the initial data image, and the
+// entry point. Every machine running a program shares it, so it is
+// read-only once assembled.
 type Program struct {
 	Insts  []isa.Inst
 	ByAddr map[uint64]int // instruction address -> index into Insts
+	// Image holds every instruction's micro-ops, decoded once by
+	// Assemble.
+	Image  *uop.Image
 	Data   map[uint64][]byte
 	Entry  uint64
 	Labels map[string]uint64
@@ -79,6 +88,7 @@ type assembler struct {
 	lines   []string
 	labels  map[string]uint64
 	program *Program
+	maxLen  int // the longest instruction emitted so far, in bytes
 }
 
 // Assemble assembles UXA source text into a Program.
@@ -105,6 +115,7 @@ func Assemble(src string) (*Program, error) {
 	if a.program.Entry == 0 && len(a.program.Insts) > 0 {
 		a.program.Entry = a.program.Insts[0].Addr
 	}
+	a.program.Image = uop.NewImage(a.program.Insts)
 	return a.program, nil
 }
 
@@ -196,7 +207,9 @@ func (a *assembler) pass(final bool) error {
 						return err
 					}
 					if final {
-						a.emitWord(dataAddr, uint64(v))
+						if err := a.emitWord(li+1, dataAddr, uint64(v)); err != nil {
+							return err
+						}
 					}
 					dataAddr += 8
 				}
@@ -234,9 +247,13 @@ func (a *assembler) pass(final bool) error {
 		}
 		inst.Addr = pc
 		inst.Len = inst.Op.EncLen()
+		if pc+uint64(inst.Len) < pc {
+			return errf(li+1, "instruction at %#x runs past the end of the address space", pc)
+		}
 		if final {
-			a.program.ByAddr[pc] = len(a.program.Insts)
-			a.program.Insts = append(a.program.Insts, inst)
+			if err := a.emitInst(li+1, inst); err != nil {
+				return err
+			}
 		}
 		pc += uint64(inst.Len)
 	}
@@ -251,12 +268,46 @@ func (a *assembler) pass(final bool) error {
 	return nil
 }
 
-func (a *assembler) emitWord(addr, v uint64) {
+// emitInst appends inst to the program unless it overlaps an instruction
+// already emitted.
+func (a *assembler) emitInst(line int, inst isa.Inst) error {
+	pc := inst.Addr
+	overlap := func(j int) error {
+		return errf(line, "instruction at %#x overlaps the instruction at %#x", pc, a.program.Insts[j].Addr)
+	}
+	for d := 0; d < a.maxLen; d++ { // starting d bytes below pc, and longer than d
+		if j, ok := a.program.ByAddr[pc-uint64(d)]; ok && a.program.Insts[j].Len > d {
+			return overlap(j)
+		}
+	}
+	for d := 1; d < inst.Len; d++ { // starting inside inst
+		if j, ok := a.program.ByAddr[pc+uint64(d)]; ok {
+			return overlap(j)
+		}
+	}
+	a.program.ByAddr[pc] = len(a.program.Insts)
+	a.program.Insts = append(a.program.Insts, inst)
+	a.maxLen = max(a.maxLen, inst.Len)
+	return nil
+}
+
+// emitWord stores a little-endian word at addr unless it overlaps a word
+// already emitted: the initial memory image must not depend on which of
+// two overlapping words is loaded last.
+func (a *assembler) emitWord(line int, addr, v uint64) error {
+	for d := uint64(0); d < 8; d++ {
+		for _, at := range [2]uint64{addr - d, addr + d} {
+			if _, ok := a.program.Data[at]; ok {
+				return errf(line, ".word at %#x overlaps the word at %#x", addr, at)
+			}
+		}
+	}
 	b := make([]byte, 8)
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
 	a.program.Data[addr] = b
+	return nil
 }
 
 var mnemonics = map[string]isa.Op{

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -163,6 +164,15 @@ func TestAssembleErrors(t *testing.T) {
 		{".word 5", "outside .data"},
 		{".entry missing\nnop", "undefined .entry"},
 		{".align 3\nnop", "bad .align"},
+		// Overlapping words would make the initial memory depend on the
+		// order the data map is loaded in.
+		{".data 0x100000\n.word 0x1111111111111111\n.data 0x100004\n.word 0x2222222222222222",
+			"line 4: .word at 0x100004 overlaps the word at 0x100000"},
+		// An .org back over code would leave two instructions at one address.
+		{"movi r1, 1\nmovi r2, 2\n.org 0x1000\nhalt", "line 4: instruction at 0x1000 overlaps the instruction at 0x1000"},
+		{"movi r1, 1\n.org 0x1004\nhalt", "line 3: instruction at 0x1004 overlaps the instruction at 0x1000"},
+		{".org 0x2004\nhalt\n.org 0x2000\nmovi r1, 1", "line 4: instruction at 0x2000 overlaps the instruction at 0x2004"},
+		{".org 0xfffffffffffffffe\nmovi r1, 1", "runs past the end of the address space"},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)
@@ -173,6 +183,20 @@ func TestAssembleErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("Assemble(%q) error = %v, want containing %q", c.src, err, c.frag)
 		}
+		var ae *Error
+		if !errors.As(err, &ae) {
+			t.Errorf("Assemble(%q) error %T is not an *Error", c.src, err)
+		}
+	}
+}
+
+func TestAdjacentEmissionAssembles(t *testing.T) {
+	p, err := Assemble(".data 0x100000\n.word 1\n.data 0x100008\n.word 2\n.text\n.org 0x1000\nmovi r1, 1\n.org 0x1006\nhalt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Insts) != 2 || len(p.Data) != 2 {
+		t.Errorf("got %d instructions and %d words, want 2 and 2", len(p.Insts), len(p.Data))
 	}
 }
 

@@ -129,7 +129,7 @@ func (s *State) SetF(r isa.Reg, v float64) { s.Set(r, int64(math.Float64bits(v))
 // consumed by the pipeline for value-predictor training, branch resolution
 // and invariant validation.
 type ExecResult struct {
-	U         *uop.UOp // the executed uop (shared decode-cache storage; do not mutate)
+	U         *uop.UOp // the executed uop (the program image's storage; do not mutate)
 	Value     int64    // value written to U.Dst (0 if no destination)
 	Taken     bool     // branch outcome (branch kinds only)
 	Target    uint64   // next macro PC after this uop
@@ -137,14 +137,15 @@ type ExecResult struct {
 	EndsMacro bool     // true when this uop is the last executed for its macro
 }
 
-// Machine executes a program functionally at micro-op granularity.
+// Machine executes a program functionally at micro-op granularity. It
+// reads each macro-instruction's micro-ops from the program's shared
+// image (asm.Program.Image) and never modifies them.
 type Machine struct {
 	Prog *asm.Program
-	Dec  *uop.Decoder
 	St   State
 	Mem  *Memory
 
-	curUops []uop.UOp
+	curUops []uop.UOp // the current macro's uops, in Prog.Image
 	curSeq  int
 
 	// UopCount counts executed micro-ops; MacroCount counts completed
@@ -173,7 +174,6 @@ type memUndo struct {
 func New(p *asm.Program) *Machine {
 	m := &Machine{
 		Prog: p,
-		Dec:  uop.NewDecoder(p.InstAt),
 		Mem:  NewMemory(),
 	}
 	m.Mem.LoadImage(p.Data)
@@ -211,7 +211,7 @@ func (m *Machine) StepUop() (ExecResult, bool) {
 		return ExecResult{}, false
 	}
 	if m.curUops == nil || m.curSeq >= len(m.curUops) {
-		us, ok := m.Dec.At(m.St.PC)
+		us, ok := m.Prog.Image.At(m.St.PC)
 		if !ok {
 			m.St.Halted = true
 			return ExecResult{}, false
@@ -395,8 +395,9 @@ func (m *Machine) Rollback() {
 	m.curUops = nil
 	m.curSeq = 0
 	if m.undoSeq != 0 {
-		// Restore a mid-macro position by re-decoding the current macro.
-		if us, ok := m.Dec.At(m.St.PC); ok {
+		// Restore a mid-macro position by looking the current macro up
+		// in the image again.
+		if us, ok := m.Prog.Image.At(m.St.PC); ok {
 			m.curUops = us
 			m.curSeq = m.undoSeq
 		}

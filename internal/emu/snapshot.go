@@ -39,9 +39,9 @@ func (m *Machine) EncodeSnapshot(w *snap.Writer) error {
 // onto a freshly constructed machine for the same program. The memory
 // image is replaced wholesale (the snapshot includes every mapped page,
 // initial data segments included), and a mid-macro position is restored
-// by re-decoding the current macro — the same re-attachment Rollback
-// performs, since decoded uop slices are shared decode-cache storage
-// that is never serialized.
+// by looking the current macro up in the program image — the same
+// re-attachment Rollback performs, since the uops are the image's shared
+// storage and are never serialized.
 func (m *Machine) RestoreSnapshot(r *snap.Reader) error {
 	r.Block(&m.St)
 	m.UopCount = r.U64()
@@ -67,7 +67,7 @@ func (m *Machine) RestoreSnapshot(r *snap.Reader) error {
 
 	m.curUops, m.curSeq = nil, 0
 	if seq != 0 {
-		us, ok := m.Dec.At(m.St.PC)
+		us, ok := m.Prog.Image.At(m.St.PC)
 		if !ok {
 			return fmt.Errorf("emu: snapshot mid-macro at pc %#x but no macro decodes there", m.St.PC)
 		}

@@ -21,15 +21,19 @@ const (
 	srcOpt
 )
 
-// idqEntry is one micro-op waiting in the instruction decode queue.
+// idqEntry is one micro-op waiting in the instruction decode queue. It
+// refers to its uop instead of copying it: decode and unoptimized-path
+// entries point into the program image, optimized and doomed entries
+// into the compacted line's Uops. Both are immutable.
 type idqEntry struct {
-	u        uop.UOp
-	memAddr  uint64
-	doomed   bool // part of a violated compacted stream: flushes, never commits
-	redirect bool // fetch resumes only after this uop completes (+ penalty)
-	liveOuts []uopcache.LiveOut
-	source   int
+	u       *uop.UOp
+	memAddr uint64
+	// liveOuts, on an optimized stream's last entry, is the compacted
+	// line's live-out list, inlined at dispatch.
+	liveOuts *[]uopcache.LiveOut
 	tr       *UopTrace // lifecycle record (nil unless tracing is enabled)
+	doomed   bool      // part of a violated compacted stream: flushes, never commits
+	redirect bool      // fetch resumes only after this uop completes (+ penalty)
 }
 
 // cpiSig collects the per-cycle stall signals the CPI-stack classifier
@@ -67,8 +71,7 @@ type Machine struct {
 	Unit   *scc.Unit
 	Stats  Stats
 
-	be  *backend
-	dec *uop.Decoder
+	be *backend
 
 	idq      ring[idqEntry]
 	idqSlots int
@@ -76,7 +79,7 @@ type Machine struct {
 	cur stream
 	// streamBuf is the persistent backing array for stream entries: every
 	// buildTrace/buildFromOpt/buildDoomedStream reuses it (entries are
-	// copied by value into the IDQ, and a new stream is only built once the
+	// copied into the IDQ, and a new stream is only built once the
 	// previous one has fully drained), so stream construction stops
 	// allocating once the high-water mark is reached.
 	streamBuf []idqEntry
@@ -180,7 +183,6 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 		VP:      vp,
 		Hier:    cache.NewHierarchy(cfg.Hier),
 		UC:      uopcache.New(cfg.UC),
-		dec:     uop.NewDecoder(prog.InstAt),
 		regions: newU64Table[regionState](8),
 		dryRes:  newU64Table[dryEntry](8),
 	}
@@ -188,7 +190,7 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 	m.nextPC = prog.Entry
 	if cfg.SCCEnabled {
 		m.Unit = scc.NewUnit(cfg.SCC, scc.Env{
-			UopsAt: m.dec.At,
+			UopsAt: prog.Image.At,
 			Resident: func(pc uint64) bool {
 				return m.UC.Unopt.RegionResident(pc)
 			},
@@ -442,7 +444,7 @@ func (m *Machine) dispatch() bool {
 			return dispatched
 		}
 		dispatched = true
-		complete := m.be.dispatch(&e.u, m.cycle, e.memAddr, e.doomed, &m.Stats)
+		complete := m.be.dispatch(e.u, m.cycle, e.memAddr, e.doomed, &m.Stats)
 		if e.tr != nil {
 			e.tr.RenameCycle = m.cycle
 			e.tr.IssueCycle = m.be.lastIssue
@@ -453,9 +455,11 @@ func (m *Machine) dispatch() bool {
 		if e.redirect && m.resumeFetchAt == 0 {
 			m.resumeFetchAt = complete + uint64(m.Cfg.RedirectLatency)
 		}
-		for _, lo := range e.liveOuts {
-			m.be.inlineLiveOut(lo.Reg, m.cycle)
-			m.Stats.LiveOutsInlined++
+		if e.liveOuts != nil {
+			for _, lo := range *e.liveOuts {
+				m.be.inlineLiveOut(lo.Reg, m.cycle)
+				m.Stats.LiveOutsInlined++
+			}
 		}
 		if !e.u.FusedWithPrev {
 			slots++
@@ -533,9 +537,16 @@ func (m *Machine) pushStream(budget int) (int, bool) {
 	if rate > budget {
 		rate = budget
 	}
+	from := &m.Stats.UopsFromDecode
+	switch m.cur.source {
+	case srcUnopt:
+		from = &m.Stats.UopsFromUnopt
+	case srcOpt:
+		from = &m.Stats.UopsFromOpt
+	}
 	pushed := 0
 	for m.cur.idx < len(m.cur.entries) && pushed < rate {
-		e := m.cur.entries[m.cur.idx]
+		e := &m.cur.entries[m.cur.idx]
 		if !e.u.FusedWithPrev && m.idqSlots >= m.Cfg.IDQSize {
 			m.stallFetch(&m.Stats.IDQStallCycles)
 			return pushed, true
@@ -543,20 +554,13 @@ func (m *Machine) pushStream(budget int) (int, bool) {
 		if e.tr != nil {
 			e.tr.DecodeCycle = m.cycle
 		}
-		m.idq.push(e)
+		m.idq.push(*e)
 		if !e.u.FusedWithPrev {
 			m.idqSlots++
 			pushed++
+			*from++
 		}
 		m.cur.idx++
-		switch e.source {
-		case srcDecode:
-			m.Stats.UopsFromDecode += uint64(boolToInt(!e.u.FusedWithPrev))
-		case srcUnopt:
-			m.Stats.UopsFromUnopt += uint64(boolToInt(!e.u.FusedWithPrev))
-		case srcOpt:
-			m.Stats.UopsFromOpt += uint64(boolToInt(!e.u.FusedWithPrev))
-		}
 	}
 	// A decode-path stream exhausts the cycle's decode bandwidth.
 	blocked := m.cur.source == srcDecode && pushed >= rate && !m.streamEmpty()
@@ -773,16 +777,16 @@ func (m *Machine) buildTrace(budgetSlots int, source int, latency uint64) []idqE
 		if !ok {
 			break
 		}
-		u := *res.U
-		e := idqEntry{u: u, memAddr: res.MemAddr, source: source}
+		u := res.U
+		e := idqEntry{u: u, memAddr: res.MemAddr}
 		if tracing {
-			e.tr = m.newUopTrace(&u, source, false)
+			e.tr = m.newUopTrace(u, source, false)
 		}
-		m.trainValue(&u, res)
-		m.rasOnCall(&u)
+		m.trainValue(u, res)
+		m.rasOnCall(u)
 		stop := false
 		if u.IsBranchKind() {
-			correct := m.trainBranch(&u, res)
+			correct := m.trainBranch(u, res)
 			if !correct {
 				e.redirect = true
 				m.redirectPending = true
@@ -823,7 +827,7 @@ func (m *Machine) buildFromDecode(pc uint64) {
 	}
 	uops := make([]uop.UOp, len(entries))
 	for i := range entries {
-		uops[i] = entries[i].u
+		uops[i] = *entries[i].u
 	}
 	uop.MacroFuse(uops)
 	m.UC.Unopt.Insert(uopcache.NewLine(pc, uops, nil))
@@ -950,18 +954,18 @@ func (m *Machine) buildFromOpt(line *uopcache.Line) {
 	m.cur = stream{entries: m.streamBuf[:0], rate: m.Cfg.FetchWidth, readyAt: m.cycle, source: srcOpt}
 	tracing := m.traceFn != nil
 	for i := range line.Uops {
-		u := line.Uops[i]
-		e := idqEntry{u: u, source: srcOpt}
+		u := &line.Uops[i]
+		e := idqEntry{u: u}
 		if tracing {
-			e.tr = m.newUopTrace(&u, srcOpt, false)
+			e.tr = m.newUopTrace(u, srcOpt, false)
 		}
-		if de, ok := m.dryRes.get(scc.VPKey(&u)); ok {
+		if de, ok := m.dryRes.get(scc.VPKey(u)); ok {
 			res := de.res
 			e.memAddr = res.MemAddr
 			// Retained uops execute: train the predictors so their state
 			// never goes out of sync while optimized streams run (§V).
-			m.trainValue(&u, res)
-			m.rasOnCall(&u)
+			m.trainValue(u, res)
+			m.rasOnCall(u)
 			if u.IsBranchKind() {
 				if u.PredSource {
 					// Control-invariant branch: validated above; train.
@@ -976,7 +980,7 @@ func (m *Machine) buildFromOpt(line *uopcache.Line) {
 					}
 				} else {
 					// Terminal unresolved branch: normal prediction.
-					if !m.trainBranch(&u, res) {
+					if !m.trainBranch(u, res) {
 						e.redirect = true
 						m.redirectPending = true
 						m.redirectIsSquash = false
@@ -988,7 +992,7 @@ func (m *Machine) buildFromOpt(line *uopcache.Line) {
 	}
 	// Live-outs inline at the end of the compacted stream (§IV).
 	if len(m.cur.entries) > 0 {
-		m.cur.entries[len(m.cur.entries)-1].liveOuts = meta.LiveOuts
+		m.cur.entries[len(m.cur.entries)-1].liveOuts = &meta.LiveOuts
 	} else {
 		// Fully eliminated stream (no retained uops): inline immediately.
 		for _, lo := range meta.LiveOuts {
@@ -1025,15 +1029,15 @@ func (m *Machine) buildDoomedStream(line *uopcache.Line, violated int) {
 	m.cur = stream{entries: m.streamBuf[:0], rate: m.Cfg.FetchWidth, readyAt: m.cycle, source: srcOpt}
 	tracing := m.traceFn != nil
 	for i := range line.Uops {
-		u := line.Uops[i]
-		e := idqEntry{u: u, source: srcOpt, doomed: true}
+		u := &line.Uops[i]
+		e := idqEntry{u: u, doomed: true}
 		if tracing {
-			e.tr = m.newUopTrace(&u, srcOpt, true)
+			e.tr = m.newUopTrace(u, srcOpt, true)
 		}
-		if de, ok := m.dryRes.get(scc.VPKey(&u)); ok {
+		if de, ok := m.dryRes.get(scc.VPKey(u)); ok {
 			e.memAddr = de.res.MemAddr
 		}
-		last := haveStop && scc.VPKey(&u) == stopKey
+		last := haveStop && scc.VPKey(u) == stopKey
 		if last {
 			e.redirect = true
 		}

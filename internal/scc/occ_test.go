@@ -31,11 +31,10 @@ loop:
 `
 
 func wrapEnv(p *asm.Program, ldVal int64) Env {
-	dec := uop.NewDecoder(p.InstAt)
 	ldPC := p.Labels["loop"]
 	cmpPC := ldPC + 4 + 3 + 4 // ld(4) add(3) addi(4) -> cmp
 	return Env{
-		UopsAt:   dec.At,
+		UopsAt:   p.Image.At,
 		Resident: func(pc uint64) bool { return true },
 		ProbeValue: func(key uint64) (int64, int, bool) {
 			switch key >> 3 {

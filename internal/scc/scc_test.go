@@ -17,9 +17,8 @@ func testEnv(p *asm.Program, vals map[uint64]struct {
 	V    int64
 	Conf int
 }, probeBranch func(pc uint64, cond bool, tgt uint64, isRet bool) (bool, uint64, int)) Env {
-	dec := uop.NewDecoder(p.InstAt)
 	return Env{
-		UopsAt:   func(pc uint64) ([]uop.UOp, bool) { return dec.At(pc) },
+		UopsAt:   p.Image.At,
 		Resident: func(pc uint64) bool { _, ok := p.InstAt(pc); return ok },
 		ProbeValue: func(key uint64) (int64, int, bool) {
 			e, ok := vals[key]
@@ -498,10 +497,9 @@ func TestStopsOnUopCacheMiss(t *testing.T) {
 		movi r2, 2
 		halt
 	`)
-	dec := uop.NewDecoder(p.InstAt)
 	second := p.Insts[1].Addr
 	env := Env{
-		UopsAt:   func(pc uint64) ([]uop.UOp, bool) { return dec.At(pc) },
+		UopsAt:   p.Image.At,
 		Resident: func(pc uint64) bool { return pc != second }, // miss at 2nd macro
 	}
 	res := Compact(DefaultConfig(), env, p.Labels["start"])

@@ -7,6 +7,9 @@
 // CISC load-op forms crack into a micro-fused load+ALU pair, CALL cracks
 // into link-register write plus jump, and the REP-style string instruction
 // cracks into a self-looping sequence (the case §III says aborts compaction).
+//
+// A program is decoded once, into an immutable Image that every reader of
+// the program shares.
 package uop
 
 import (
@@ -316,7 +319,11 @@ func SlotCount(us []UOp) int {
 	return n
 }
 
-// Decoder decodes macro-instructions from a program with memoization.
+// Decoder decodes macro-instructions lazily through an instruction
+// lookup, memoizing each address's uops in a map. The simulator reads a
+// program's Image instead (asm.Program.Image); Decoder remains for
+// callers that hold only an InstAt function, such as perfbench's
+// component replay.
 type Decoder struct {
 	inst  func(addr uint64) (isa.Inst, bool)
 	cache map[uint64][]UOp

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"sccsim/internal/asm"
 	"sccsim/internal/emu"
@@ -50,10 +51,31 @@ type Workload struct {
 	// DefaultMaxUops is the run length the harness uses (a SimPoint-style
 	// representative interval).
 	DefaultMaxUops uint64
+
+	// prog is a registered workload's assembled program, shared by every
+	// copy of the workload; nil for a workload built outside the registry.
+	prog *program
 }
 
-// Program assembles the kernel.
-func (w Workload) Program() *asm.Program { return asm.MustAssemble(w.Source) }
+// program assembles src once, on first use.
+type program struct {
+	src  string
+	once sync.Once
+	p    *asm.Program
+}
+
+// Program returns the kernel's assembled program. A registered workload
+// is assembled once per process, and every caller shares that program and
+// its decoded image, so callers must not modify it. A workload built
+// outside the registry, or whose Source was changed, is assembled on each
+// call.
+func (w Workload) Program() *asm.Program {
+	if w.prog == nil || w.Source != w.prog.src {
+		return asm.MustAssemble(w.Source)
+	}
+	w.prog.once.Do(func() { w.prog.p = asm.MustAssemble(w.Source) })
+	return w.prog.p
+}
 
 var registry []Workload
 
@@ -61,6 +83,7 @@ func register(w Workload) {
 	if w.DefaultMaxUops == 0 {
 		w.DefaultMaxUops = 200_000
 	}
+	w.prog = &program{src: w.Source}
 	registry = append(registry, w)
 }
 
