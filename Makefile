@@ -47,13 +47,13 @@ bench:
 # Machine-readable benchmark artifact: a reduced-scale fig6+fig7 sweep
 # writes per-run JSON manifests (Manifest.Encode verifies each one
 # round-trips through encoding/json) and the aggregate index becomes
-# BENCH_pr22.json — the headline numbers a perf trajectory can diff.
+# BENCH_pr25.json — the headline numbers a perf trajectory can diff.
 # Committed BENCH_pr*.json baselines from earlier PRs are never rewritten.
 bench-json:
 	rm -rf manifests
 	$(GO) run ./cmd/sccbench -experiment fig6,fig7 \
 	    -workloads xalancbmk,mcf,lbm -max-uops 30000 -json manifests > /dev/null
-	cp manifests/index.json BENCH_pr22.json
+	cp manifests/index.json BENCH_pr25.json
 
 # Regression gate: regenerate the reduced-scale sweep and diff it against
 # the committed PR-2 baseline with direction-aware thresholds (sccdiff

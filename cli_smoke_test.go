@@ -169,3 +169,73 @@ func TestCLIBenchArtifacts(t *testing.T) {
 		t.Errorf("trace processes %v with %d harness.run slices, want sweep:fig6 alone with 6", procs, runs)
 	}
 }
+
+// TestCLIBenchSharesRuns runs fig6, fig7 and fig8 in one sccbench
+// invocation: fig7 and fig8 reuse fig6's baseline and full-SCC runs, so
+// it simulates fig6's six runs of the kernel and no more, prints the
+// tables of three separate invocations, and with -json still indexes
+// every cell of every figure.
+func TestCLIBenchSharesRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI builds in -short mode")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "sccbench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/sccbench").CombinedOutput(); err != nil {
+		t.Fatalf("build sccbench: %v\n%s", err, out)
+	}
+	run := func(args ...string) []byte {
+		t.Helper()
+		args = append([]string{"-workloads", "mcf", "-max-uops", "2000"}, args...)
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("sccbench %v: %v", args, err)
+		}
+		return out
+	}
+	// tables drops the timing lines, which differ from run to run.
+	tables := func(out []byte) string {
+		var keep []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if !strings.Contains(line, "sweep:") && !strings.Contains(line, "completed in") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+
+	out := run("-experiment", "fig6,fig7,fig8", "-metrics-dump", "-")
+	idx := strings.Index(string(out), "# HELP")
+	if idx < 0 {
+		t.Fatalf("no exposition in stdout:\n%s", out)
+	}
+	exp, err := telemetry.ParseExposition(out[idx:])
+	if err != nil {
+		t.Fatalf("exposition does not validate: %v", err)
+	}
+	if got := exp.Samples["runner_jobs_completed_total"]; got != 6 {
+		t.Errorf("runner_jobs_completed_total = %v, want 6 (fig6's levels; fig7 and fig8 reuse them)", got)
+	}
+	var separate string
+	for _, e := range []string{"fig6", "fig7", "fig8"} {
+		separate += tables(run("-experiment", e))
+	}
+	if got := tables(out[:idx]); got != separate {
+		t.Errorf("shared-run tables differ from separate invocations:\n%s\n--- separate ---\n%s", got, separate)
+	}
+
+	jsonDir := filepath.Join(dir, "manifests")
+	run("-experiment", "fig6,fig7,fig8", "-json", jsonDir)
+	ix, err := obs.LoadIndex(jsonDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One entry per cell: fig6's six levels, fig7's and fig8's two
+	// configurations each.
+	if len(ix.Entries) != 10 {
+		t.Errorf("index.json holds %d entries, want 10", len(ix.Entries))
+	}
+}

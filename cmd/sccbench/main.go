@@ -10,7 +10,10 @@
 // Sweeps fan out across -parallel workers (default GOMAXPROCS); the
 // rendered tables are byte-identical to a serial run regardless of the
 // setting, and each experiment reports its sweep telemetry (wall clock,
-// simulated uops/sec) after the tables.
+// simulated uops/sec) after the tables. The experiments of one
+// invocation share runs: a (workload, configuration) run that an earlier
+// experiment simulated is reused, not simulated again, and the sweep
+// line counts it as reused.
 //
 // Observability: -json <dir> writes one JSON manifest per (workload,
 // configuration) run — content-addressed by config hash, so re-runs
@@ -27,11 +30,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -162,9 +165,8 @@ func run() int {
 		}
 	}
 
-	// art collects each sweep's results (via Options.OnResult, keyed by
-	// submission index) and writes them as per-run manifests after the
-	// sweep.
+	// art collects each sweep's results (via Options.OnResult) and writes
+	// them as per-run manifests after the sweep.
 	art := &artifacts{jsonDir: *jsonDir, index: obs.NewIndex()}
 	if *jsonDir != "" {
 		opts.OnResult = art.collect
@@ -189,9 +191,8 @@ func run() int {
 		spanTracer = tracing.New(tracing.MintTraceID())
 	}
 
-	runExp := func(name string, fn func() (*sccsim.SweepSummary, error)) bool {
+	runExp := func(name string, fn func() (report, error)) bool {
 		t0 := time.Now()
-		art.begin(name)
 		if spanTracer != nil {
 			// One root span per sweep; every scheduled run's harness.run
 			// span hangs under it via the options context.
@@ -199,13 +200,14 @@ func run() int {
 			opts.Ctx = tracing.NewContext(context.Background(), spanTracer, root)
 			defer root.End()
 		}
-		sum, err := fn()
+		rep, err := fn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sccbench: %s: %v\n", name, err)
 			return false
 		}
-		if sum != nil {
-			fmt.Printf("\n[%s sweep: %s]\n", name, sum)
+		rep.Write(os.Stdout)
+		if sw, ok := rep.(interface{ Summary() string }); ok {
+			fmt.Printf("\n[%s sweep: %s]\n", name, sw.Summary())
 			if err := art.finish(name); err != nil {
 				fmt.Fprintf(os.Stderr, "sccbench: %s: %v\n", name, err)
 				return false
@@ -215,73 +217,20 @@ func run() int {
 		return true
 	}
 
-	experiments := map[string]func() (*sccsim.SweepSummary, error){
-		"table1": func() (*sccsim.SweepSummary, error) { sccsim.Table1(os.Stdout); return nil, nil },
-		"fig6": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.Figure6(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return f.Timing, nil
-		},
-		"fig7": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.Figure7(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return f.Timing, nil
-		},
-		"fig8": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.Figure8(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return f.Timing, nil
-		},
-		"fig9": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.Figure9(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return f.Timing, nil
-		},
-		"fig10": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.Figure10(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return f.Timing, nil
-		},
-		"fig11": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.Figure11(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return f.Timing, nil
-		},
-		"overhead": func() (*sccsim.SweepSummary, error) { sccsim.Overheads(os.Stdout); return nil, nil },
-		"simpoint-snapshot": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.SimPointSweep(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return nil, nil
-		},
-		"ext": func() (*sccsim.SweepSummary, error) {
-			f, err := sccsim.Extension(opts)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return f.Timing, nil
-		},
+	// One session per invocation: a run an experiment simulated is
+	// reused by every later experiment that needs the same run.
+	sess := harness.NewSession()
+	experiments := map[string]func() (report, error){
+		"table1":            func() (report, error) { return printOnly(sccsim.Table1), nil },
+		"fig6":              func() (report, error) { return sess.Fig6(opts) },
+		"fig7":              func() (report, error) { return sess.Fig7(opts) },
+		"fig8":              func() (report, error) { return sess.Fig8(opts) },
+		"fig9":              func() (report, error) { return sess.Fig9(opts) },
+		"fig10":             func() (report, error) { return sess.Fig10(opts) },
+		"fig11":             func() (report, error) { return sess.Fig11(opts) },
+		"overhead":          func() (report, error) { return printOnly(sccsim.Overheads), nil },
+		"simpoint-snapshot": func() (report, error) { return sccsim.SimPointSweep(opts) },
+		"ext":               func() (report, error) { return sess.Ext(opts) },
 	}
 
 	for _, name := range selected {
@@ -321,29 +270,32 @@ func run() int {
 	return art.flush()
 }
 
-// artifacts accumulates run results per sweep and writes the -json
+// report is what an experiment prints. A grid experiment's report also
+// has a Summary of its sweep.
+type report interface{ Write(io.Writer) }
+
+// printOnly is the report of an experiment that runs nothing per
+// workload: a table writer.
+type printOnly func(io.Writer)
+
+func (p printOnly) Write(w io.Writer) { p(w) }
+
+// artifacts accumulates a sweep's run results and writes the -json
 // output.
 type artifacts struct {
 	jsonDir string
-	results map[int]*harness.RunResult // current sweep, by submission index
+	results []*harness.RunResult // current sweep's cells, in order
 	index   *obs.Index
 }
 
-func (a *artifacts) begin(string) { a.results = map[int]*harness.RunResult{} }
-
-// collect is the harness OnResult hook; the scheduler hands results back
-// in submission order after each sweep completes.
-func (a *artifacts) collect(i int, r *harness.RunResult) { a.results[i] = r }
+// collect is the harness OnResult hook; a grid hands its cells over in
+// order after each sweep completes.
+func (a *artifacts) collect(_ int, r *harness.RunResult) { a.results = append(a.results, r) }
 
 // finish writes the finished sweep's manifests.
 func (a *artifacts) finish(name string) error {
-	idxs := make([]int, 0, len(a.results))
-	for i := range a.results {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		man := a.results[i].Manifest()
+	for _, r := range a.results {
+		man := r.Manifest()
 		// Content-addressed name (the result cache's): identical
 		// (workload, config) runs from different experiments produce
 		// identical stats, so overwriting is idempotent by construction.
@@ -353,6 +305,7 @@ func (a *artifacts) finish(name string) error {
 		}
 		a.index.Add(file, name, man)
 	}
+	a.results = nil
 	return nil
 }
 

@@ -228,8 +228,7 @@ func run() int {
 }
 
 // writeArtifacts emits the -json manifest and the -trace rendering of
-// the run's span tree; a journaled run's compaction jobs go on an
-// scc-unit lane laid over its harness.simulate span.
+// the run's span tree.
 func writeArtifacts(res *harness.RunResult, jsonPath, tracePath string, spans []tracing.SpanData) error {
 	if jsonPath != "" {
 		man := res.Manifest()
@@ -240,13 +239,7 @@ func writeArtifacts(res *harness.RunResult, jsonPath, tracePath string, spans []
 			jsonPath, len(man.Samples))
 	}
 	if tracePath != "" {
-		tr := obs.NewTrace(spans)
-		for _, sd := range spans {
-			if sd.Name == "harness.simulate" {
-				tr.AddSCCLane(sd, res.Stats.Cycles, res.JobSlices)
-			}
-		}
-		if err := tr.WriteFile(tracePath); err != nil {
+		if err := obs.NewTrace(spans).WriteFile(tracePath); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "sccsim: wrote trace %s (open at ui.perfetto.dev)\n", tracePath)

@@ -271,7 +271,8 @@ type lsdEntry struct {
 	totalSeen uint64
 }
 
-// NewLSD builds a loop stream detector tracking up to cap branches.
+// NewLSD builds a loop stream detector tracking the first cap branches
+// it sees.
 func NewLSD(cap int) *LSD {
 	return &LSD{entries: make(map[uint64]*lsdEntry), cap: cap}
 }
@@ -281,16 +282,10 @@ func (l *LSD) Update(pc uint64, taken bool) {
 	e := l.entries[pc]
 	if e == nil {
 		if len(l.entries) >= l.cap {
-			// Evict an arbitrary cold entry.
-			for k, v := range l.entries {
-				if v.stable == 0 {
-					delete(l.entries, k)
-					break
-				}
-			}
-			if len(l.entries) >= l.cap {
-				return
-			}
+			// Full: a new branch goes untracked, so the tracked set,
+			// and the snapshot bytes, depend only on the order branches
+			// arrive in, never on Go's map order.
+			return
 		}
 		e = &lsdEntry{}
 		l.entries[pc] = e

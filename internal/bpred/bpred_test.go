@@ -1,6 +1,9 @@
 package bpred
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestTAGELearnsAlwaysTaken(t *testing.T) {
 	p := NewTAGE(10, 8)
@@ -171,6 +174,35 @@ func TestLSDCapacity(t *testing.T) {
 	}
 	if len(l.entries) > 4 {
 		t.Errorf("LSD grew to %d entries, cap 4", len(l.entries))
+	}
+}
+
+// TestLSDFullTableIsDeterministic feeds a four-entry detector six loops
+// that never turn stable: the tracked entries must be the same on every
+// repeat, not depend on map order.
+func TestLSDFullTableIsDeterministic(t *testing.T) {
+	feed := func() map[uint64]lsdEntry {
+		l := NewLSD(4)
+		for round := 0; round < 3; round++ {
+			for loop := 0; loop < 6; loop++ {
+				pc := uint64(0x1000 + loop*0x40)
+				for i := 0; i < 2+round+loop; i++ {
+					l.Update(pc, true)
+				}
+				l.Update(pc, false)
+			}
+		}
+		out := map[uint64]lsdEntry{}
+		for pc, e := range l.entries {
+			out[pc] = *e
+		}
+		return out
+	}
+	first := feed()
+	for rep := 1; rep < 50; rep++ {
+		if got := feed(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("repeat %d tracked %v, first run tracked %v", rep, got, first)
+		}
 	}
 }
 

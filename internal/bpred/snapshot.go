@@ -118,6 +118,7 @@ func (s *RAS) restoreSnapshot(r *snap.Reader) {
 
 func (l *LSD) encodeSnapshot(w *snap.Writer) {
 	pcs := make([]uint64, 0, len(l.entries))
+	// order-independent: collects the keys, sorted below
 	for pc := range l.entries {
 		pcs = append(pcs, pc)
 	}
@@ -148,6 +149,7 @@ func (l *LSD) restoreSnapshot(r *snap.Reader) {
 
 func (it *ITTAGE) encodeSnapshot(w *snap.Writer) {
 	pcs := make([]uint64, 0, len(it.base))
+	// order-independent: collects the keys, sorted below
 	for pc := range it.base {
 		pcs = append(pcs, pc)
 	}

@@ -87,6 +87,7 @@ func (m *Memory) Write64(addr uint64, v int64) {
 
 // LoadImage copies a program's initial data segments into memory.
 func (m *Memory) LoadImage(data map[uint64][]byte) {
+	// order-independent: asm.Assemble rejects overlapping data, so no two segments write the same byte
 	for addr, bytes := range data {
 		for i, b := range bytes {
 			m.Store8(addr+uint64(i), b)

@@ -23,6 +23,7 @@ func (m *Machine) EncodeSnapshot(w *snap.Writer) error {
 	w.Int(m.curSeq)
 
 	pns := make([]uint64, 0, len(m.Mem.pages))
+	// order-independent: collects the page numbers, sorted below
 	for pn := range m.Mem.pages {
 		pns = append(pns, pn)
 	}

@@ -36,21 +36,23 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPairAndExtDeterminism covers the pair-layout (Fig8) and
-// triple-layout (Ext) sweeps the same way.
+// TestPairAndExtDeterminism covers the two-configuration (Fig8) and
+// three-configuration (Ext) grids the same way, Ext reusing Fig8's runs
+// through one session.
 func TestPairAndExtDeterminism(t *testing.T) {
 	opts := smallOpts(t, "xalancbmk", "swaptions")
 	opts.MaxUops = 20_000
 
 	renderBoth := func(parallel int) []byte {
 		opts.Parallel = parallel
+		s := NewSession()
 		var buf bytes.Buffer
-		f8, err := Fig8Run(opts)
+		f8, err := s.Fig8(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f8.Write(&buf)
-		ext, err := ExtRun(opts)
+		ext, err := s.Ext(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +96,7 @@ func TestSweepTelemetryCountsUops(t *testing.T) {
 	opts := smallOpts(t, "xalancbmk", "mcf")
 	opts.MaxUops = 20_000
 	opts.Parallel = 4
-	f, err := Fig8Run(opts)
+	f, err := NewSession().Fig8(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

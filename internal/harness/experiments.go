@@ -6,7 +6,6 @@ import (
 
 	"sccsim/internal/pipeline"
 	"sccsim/internal/power"
-	"sccsim/internal/runner"
 	"sccsim/internal/scc"
 	"sccsim/internal/stats"
 )
@@ -50,57 +49,41 @@ type Fig6 struct {
 	Squash   [][]float64 // squash-cycle fraction
 	// Per-category dynamic elimination fractions at full SCC.
 	MoveFrac, FoldFrac, BranchFrac []float64
-	Timing                         *runner.Summary
+	Sweep
 }
 
-// Fig6Run regenerates Figure 6's three panels.
-func Fig6Run(opts Options) (*Fig6, error) {
-	ws := opts.workloads()
+// Fig6 regenerates Figure 6's three panels.
+func (s *Session) Fig6(opts Options) (*Fig6, error) {
 	levels := scc.Levels()
-	f := &Fig6{Levels: levels}
-	for _, w := range ws {
-		f.Names = append(f.Names, w.Name)
+	cfgs := make([]pipeline.Config, len(levels))
+	for i, lv := range levels {
+		cfgs[i] = pipeline.IcelakeSCC(lv)
 	}
-	// Jobs laid out [level][workload], flattened in submission order.
-	var jobs []runner.Job[*RunResult]
-	for _, lv := range levels {
-		for _, w := range ws {
-			jobs = append(jobs, job(pipeline.IcelakeSCC(lv), w, opts))
-		}
-	}
-	results, sum, err := sweep(opts, jobs)
+	g, sw, err := s.grid(opts, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	f.Timing = sum
-	f.NormUops = make([][]float64, len(levels))
-	f.NormTime = make([][]float64, len(levels))
-	f.Squash = make([][]float64, len(levels))
-	baseUops := make([]float64, len(ws))
-	baseTime := make([]float64, len(ws))
-	for li, lv := range levels {
-		f.NormUops[li] = make([]float64, len(ws))
-		f.NormTime[li] = make([]float64, len(ws))
-		f.Squash[li] = make([]float64, len(ws))
-		for wi := range ws {
-			st := results[li*len(ws)+wi].Stats
-			if lv == scc.LevelBaseline {
-				baseUops[wi] = float64(st.CommittedUops)
-				baseTime[wi] = float64(st.Cycles)
-			}
-			f.NormUops[li][wi] = stats.Ratio(float64(st.CommittedUops), baseUops[wi])
-			f.NormTime[li][wi] = stats.Ratio(float64(st.Cycles), baseTime[wi])
-			f.Squash[li][wi] = st.SquashOverhead()
-			if lv == scc.LevelFull {
-				total := float64(st.CommittedUops + st.EliminatedUops())
-				f.MoveFrac = append(f.MoveFrac, stats.Ratio(float64(st.ElimMove), total))
-				f.FoldFrac = append(f.FoldFrac, stats.Ratio(float64(st.ElimFold), total))
-				f.BranchFrac = append(f.BranchFrac, stats.Ratio(float64(st.ElimBranch), total))
-			}
-		}
+	f := &Fig6{
+		Names:    opts.names(),
+		Levels:   levels,
+		NormUops: ratios(g, g[0], committedUops),
+		NormTime: ratios(g, g[0], cycles),
+		Squash:   each(g, func(r *RunResult) float64 { return r.Stats.SquashOverhead() }),
+		Sweep:    sw,
+	}
+	for _, r := range g[f.FullIdx()] {
+		st := r.Stats
+		total := float64(st.CommittedUops + st.EliminatedUops())
+		f.MoveFrac = append(f.MoveFrac, stats.Ratio(float64(st.ElimMove), total))
+		f.FoldFrac = append(f.FoldFrac, stats.Ratio(float64(st.ElimFold), total))
+		f.BranchFrac = append(f.BranchFrac, stats.Ratio(float64(st.ElimBranch), total))
 	}
 	return f, nil
 }
+
+// Fig6Run regenerates Figure 6 without a session: it simulates every
+// run, in [level][workload] order.
+func Fig6Run(opts Options) (*Fig6, error) { return (*Session)(nil).Fig6(opts) }
 
 // FullIdx returns the index of the full-SCC level.
 func (f *Fig6) FullIdx() int { return len(f.Levels) - 1 }
@@ -179,35 +162,25 @@ type Fig7 struct {
 	Names                       []string
 	BaseDecode, BaseUnopt       []float64
 	SCCDecode, SCCUnopt, SCCOpt []float64
-	Timing                      *runner.Summary
+	Sweep
 }
 
-// Fig7Run regenerates Figure 7.
-func Fig7Run(opts Options) (*Fig7, error) {
-	ws := opts.workloads()
-	f := &Fig7{}
-	// Jobs per workload: baseline then full SCC.
-	var jobs []runner.Job[*RunResult]
-	for _, w := range ws {
-		jobs = append(jobs,
-			job(pipeline.Icelake(), w, opts),
-			job(pipeline.IcelakeSCC(scc.LevelFull), w, opts))
-	}
-	results, sum, err := sweep(opts, jobs)
+// Fig7 regenerates Figure 7.
+func (s *Session) Fig7(opts Options) (*Fig7, error) {
+	g, sw, err := s.grid(opts, pipeline.Icelake(), pipeline.IcelakeSCC(scc.LevelFull))
 	if err != nil {
 		return nil, err
 	}
-	f.Timing = sum
-	for wi, w := range ws {
-		base, withSCC := results[2*wi], results[2*wi+1]
-		f.Names = append(f.Names, w.Name)
-		bt := float64(base.Stats.TotalFetchedSlots())
-		st := float64(withSCC.Stats.TotalFetchedSlots())
-		f.BaseDecode = append(f.BaseDecode, stats.Ratio(float64(base.Stats.UopsFromDecode), bt))
-		f.BaseUnopt = append(f.BaseUnopt, stats.Ratio(float64(base.Stats.UopsFromUnopt), bt))
-		f.SCCDecode = append(f.SCCDecode, stats.Ratio(float64(withSCC.Stats.UopsFromDecode), st))
-		f.SCCUnopt = append(f.SCCUnopt, stats.Ratio(float64(withSCC.Stats.UopsFromUnopt), st))
-		f.SCCOpt = append(f.SCCOpt, stats.Ratio(float64(withSCC.Stats.UopsFromOpt), st))
+	f := &Fig7{Names: opts.names(), Sweep: sw}
+	for wi := range f.Names {
+		base, withSCC := g[0][wi].Stats, g[1][wi].Stats
+		bt := float64(base.TotalFetchedSlots())
+		st := float64(withSCC.TotalFetchedSlots())
+		f.BaseDecode = append(f.BaseDecode, stats.Ratio(float64(base.UopsFromDecode), bt))
+		f.BaseUnopt = append(f.BaseUnopt, stats.Ratio(float64(base.UopsFromUnopt), bt))
+		f.SCCDecode = append(f.SCCDecode, stats.Ratio(float64(withSCC.UopsFromDecode), st))
+		f.SCCUnopt = append(f.SCCUnopt, stats.Ratio(float64(withSCC.UopsFromUnopt), st))
+		f.SCCOpt = append(f.SCCOpt, stats.Ratio(float64(withSCC.UopsFromOpt), st))
 	}
 	return f, nil
 }
@@ -230,30 +203,20 @@ func (f *Fig7) Write(w io.Writer) {
 type Fig8 struct {
 	Names      []string
 	NormEnergy []float64 // SCC energy / baseline energy
-	Timing     *runner.Summary
+	Sweep
 }
 
-// Fig8Run regenerates Figure 8.
-func Fig8Run(opts Options) (*Fig8, error) {
-	ws := opts.workloads()
-	f := &Fig8{}
-	var jobs []runner.Job[*RunResult]
-	for _, w := range ws {
-		jobs = append(jobs,
-			job(pipeline.Icelake(), w, opts),
-			job(pipeline.IcelakeSCC(scc.LevelFull), w, opts))
-	}
-	results, sum, err := sweep(opts, jobs)
+// Fig8 regenerates Figure 8.
+func (s *Session) Fig8(opts Options) (*Fig8, error) {
+	g, sw, err := s.grid(opts, pipeline.Icelake(), pipeline.IcelakeSCC(scc.LevelFull))
 	if err != nil {
 		return nil, err
 	}
-	f.Timing = sum
-	for wi, w := range ws {
-		base, withSCC := results[2*wi], results[2*wi+1]
-		f.Names = append(f.Names, w.Name)
-		f.NormEnergy = append(f.NormEnergy, stats.Ratio(withSCC.EnergyJ(), base.EnergyJ()))
-	}
-	return f, nil
+	return &Fig8{
+		Names:      opts.names(),
+		NormEnergy: ratios(g[1:], g[0], (*RunResult).EnergyJ)[0],
+		Sweep:      sw,
+	}, nil
 }
 
 // AvgSavings returns the mean energy saving fraction.
@@ -287,51 +250,30 @@ type Fig9 struct {
 	NormTime   [][]float64 // [predictor][workload], vs shared baseline
 	Reduction  [][]float64
 	Squashes   [][]float64 // invariant violations per 1000 committed uops
-	Timing     *runner.Summary
+	Sweep
 }
 
-// Fig9Run regenerates Figure 9.
-func Fig9Run(opts Options) (*Fig9, error) {
-	f := &Fig9{Predictors: []string{"h3vp", "eves"}}
-	ws := opts.workloads()
-	n := len(ws)
-	for _, w := range ws {
-		f.Names = append(f.Names, w.Name)
+// Fig9 regenerates Figure 9.
+func (s *Session) Fig9(opts Options) (*Fig9, error) {
+	preds := []string{"h3vp", "eves"}
+	cfgs := []pipeline.Config{pipeline.Icelake()}
+	for _, vp := range preds {
+		cfgs = append(cfgs, pipeline.IcelakeSCC(scc.LevelFull).WithValuePredictor(vp))
 	}
-	// Jobs: n shared baselines, then [predictor][workload].
-	var jobs []runner.Job[*RunResult]
-	for _, w := range ws {
-		jobs = append(jobs, job(pipeline.Icelake(), w, opts))
-	}
-	for _, vp := range f.Predictors {
-		for _, w := range ws {
-			jobs = append(jobs, job(pipeline.IcelakeSCC(scc.LevelFull).WithValuePredictor(vp), w, opts))
-		}
-	}
-	results, sum, err := sweep(opts, jobs)
+	g, sw, err := s.grid(opts, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	f.Timing = sum
-	f.NormTime = make([][]float64, len(f.Predictors))
-	f.Reduction = make([][]float64, len(f.Predictors))
-	f.Squashes = make([][]float64, len(f.Predictors))
-	baseTime := make([]float64, n)
-	for wi := range ws {
-		baseTime[wi] = float64(results[wi].Stats.Cycles)
-	}
-	for pi := range f.Predictors {
-		f.NormTime[pi] = make([]float64, n)
-		f.Reduction[pi] = make([]float64, n)
-		f.Squashes[pi] = make([]float64, n)
-		for wi := range ws {
-			st := results[n+pi*n+wi].Stats
-			f.NormTime[pi][wi] = stats.Ratio(float64(st.Cycles), baseTime[wi])
-			f.Reduction[pi][wi] = st.DynamicUopReduction()
-			f.Squashes[pi][wi] = stats.Ratio(float64(st.InvariantViolations)*1000, float64(st.CommittedUops))
-		}
-	}
-	return f, nil
+	return &Fig9{
+		Names:      opts.names(),
+		Predictors: preds,
+		NormTime:   ratios(g[1:], g[0], cycles),
+		Reduction:  each(g[1:], uopReduction),
+		Squashes: each(g[1:], func(r *RunResult) float64 {
+			return stats.Ratio(float64(r.Stats.InvariantViolations)*1000, float64(r.Stats.CommittedUops))
+		}),
+		Sweep: sw,
+	}, nil
 }
 
 // Write prints the three panels.
@@ -355,45 +297,21 @@ type Fig10 struct {
 	Names    []string
 	OptSets  []int
 	NormTime [][]float64 // [split][workload]
-	Timing   *runner.Summary
+	Sweep
 }
 
-// Fig10Run regenerates Figure 10 (12-, 24- and 36-set optimized splits).
-func Fig10Run(opts Options) (*Fig10, error) {
-	f := &Fig10{OptSets: []int{12, 24, 36}}
-	ws := opts.workloads()
-	n := len(ws)
-	for _, w := range ws {
-		f.Names = append(f.Names, w.Name)
+// Fig10 regenerates Figure 10 (12-, 24- and 36-set optimized splits).
+func (s *Session) Fig10(opts Options) (*Fig10, error) {
+	splits := []int{12, 24, 36}
+	cfgs := []pipeline.Config{pipeline.Icelake()}
+	for _, optSets := range splits {
+		cfgs = append(cfgs, pipeline.IcelakeSCC(scc.LevelFull).WithPartitionSplit(optSets))
 	}
-	// Jobs: n shared baselines, then [split][workload].
-	var jobs []runner.Job[*RunResult]
-	for _, w := range ws {
-		jobs = append(jobs, job(pipeline.Icelake(), w, opts))
-	}
-	for _, optSets := range f.OptSets {
-		for _, w := range ws {
-			jobs = append(jobs, job(pipeline.IcelakeSCC(scc.LevelFull).WithPartitionSplit(optSets), w, opts))
-		}
-	}
-	results, sum, err := sweep(opts, jobs)
+	g, sw, err := s.grid(opts, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	f.Timing = sum
-	baseTime := make([]float64, n)
-	for wi := range ws {
-		baseTime[wi] = float64(results[wi].Stats.Cycles)
-	}
-	f.NormTime = make([][]float64, len(f.OptSets))
-	for si := range f.OptSets {
-		f.NormTime[si] = make([]float64, n)
-		for wi := range ws {
-			res := results[n+si*n+wi]
-			f.NormTime[si][wi] = stats.Ratio(float64(res.Stats.Cycles), baseTime[wi])
-		}
-	}
-	return f, nil
+	return &Fig10{Names: opts.names(), OptSets: splits, NormTime: ratios(g[1:], g[0], cycles), Sweep: sw}, nil
 }
 
 // BestSplit returns the opt-set count with the lowest mean normalized time.
@@ -439,53 +357,33 @@ type Fig11 struct {
 	// Live-out census at full width: fraction of streams carrying 1, 2,
 	// or more live-outs (§VII-C's 0.62%/0.11% analysis analogue).
 	With1, With2, WithMore float64
-	Timing                 *runner.Summary
+	Sweep
 }
 
-// Fig11Run regenerates Figure 11 (64/32/16/8-bit widths).
-func Fig11Run(opts Options) (*Fig11, error) {
-	f := &Fig11{Widths: []int{64, 32, 16, 8}}
-	ws := opts.workloads()
-	n := len(ws)
-	for _, w := range ws {
-		f.Names = append(f.Names, w.Name)
+// Fig11 regenerates Figure 11 (64/32/16/8-bit widths).
+func (s *Session) Fig11(opts Options) (*Fig11, error) {
+	widths := []int{64, 32, 16, 8}
+	cfgs := []pipeline.Config{pipeline.Icelake()}
+	for _, width := range widths {
+		cfgs = append(cfgs, pipeline.IcelakeSCC(scc.LevelFull).WithConstWidth(width))
 	}
-	// Jobs: n shared baselines, then [width][workload].
-	var jobs []runner.Job[*RunResult]
-	for _, w := range ws {
-		jobs = append(jobs, job(pipeline.Icelake(), w, opts))
-	}
-	for _, width := range f.Widths {
-		for _, w := range ws {
-			jobs = append(jobs, job(pipeline.IcelakeSCC(scc.LevelFull).WithConstWidth(width), w, opts))
-		}
-	}
-	results, sum, err := sweep(opts, jobs)
+	g, sw, err := s.grid(opts, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	f.Timing = sum
-	baseTime := make([]float64, n)
-	for wi := range ws {
-		baseTime[wi] = float64(results[wi].Stats.Cycles)
+	f := &Fig11{
+		Names:     opts.names(),
+		Widths:    widths,
+		Reduction: each(g[1:], uopReduction),
+		NormTime:  ratios(g[1:], g[0], cycles),
+		Sweep:     sw,
 	}
-	f.Reduction = make([][]float64, len(f.Widths))
-	f.NormTime = make([][]float64, len(f.Widths))
 	var streams, w1, w2, wm float64
-	for widx, width := range f.Widths {
-		f.Reduction[widx] = make([]float64, n)
-		f.NormTime[widx] = make([]float64, n)
-		for wi := range ws {
-			st := results[n+widx*n+wi].Stats
-			f.Reduction[widx][wi] = st.DynamicUopReduction()
-			f.NormTime[widx][wi] = stats.Ratio(float64(st.Cycles), baseTime[wi])
-			if width == 64 {
-				streams += float64(st.OptStreams)
-				w1 += float64(st.StreamsWith1LiveOut)
-				w2 += float64(st.StreamsWith2LiveOut)
-				wm += float64(st.StreamsWithMoreLO)
-			}
-		}
+	for _, r := range g[1] { // full width
+		streams += float64(r.Stats.OptStreams)
+		w1 += float64(r.Stats.StreamsWith1LiveOut)
+		w2 += float64(r.Stats.StreamsWith2LiveOut)
+		wm += float64(r.Stats.StreamsWithMoreLO)
 	}
 	f.With1 = stats.Ratio(w1, streams)
 	f.With2 = stats.Ratio(w2, streams)
@@ -546,39 +444,27 @@ type Ext struct {
 	ExtRed    []float64 // with the extension
 	PaperTime []float64 // normalized time vs baseline
 	ExtTime   []float64
-	Timing    *runner.Summary
+	Sweep
 }
 
-// ExtRun regenerates the extension comparison.
-func ExtRun(opts Options) (*Ext, error) {
-	ws := opts.workloads()
-	f := &Ext{}
+// Ext regenerates the extension comparison.
+func (s *Session) Ext(opts Options) (*Ext, error) {
 	extCfg := pipeline.IcelakeSCC(scc.LevelFull)
 	extCfg.SCC.EnableFPFold = true
 	extCfg.SCC.EnableComplexFold = true
-	// Jobs per workload: baseline, paper config, extension.
-	var jobs []runner.Job[*RunResult]
-	for _, w := range ws {
-		jobs = append(jobs,
-			job(pipeline.Icelake(), w, opts),
-			job(pipeline.IcelakeSCC(scc.LevelFull), w, opts),
-			job(extCfg, w, opts))
-	}
-	results, sum, err := sweep(opts, jobs)
+	g, sw, err := s.grid(opts, pipeline.Icelake(), pipeline.IcelakeSCC(scc.LevelFull), extCfg)
 	if err != nil {
 		return nil, err
 	}
-	f.Timing = sum
-	for wi, w := range ws {
-		base, paper, ext := results[3*wi], results[3*wi+1], results[3*wi+2]
-		bt := float64(base.Stats.Cycles)
-		f.Names = append(f.Names, w.Name)
-		f.PaperRed = append(f.PaperRed, paper.Stats.DynamicUopReduction())
-		f.ExtRed = append(f.ExtRed, ext.Stats.DynamicUopReduction())
-		f.PaperTime = append(f.PaperTime, stats.Ratio(float64(paper.Stats.Cycles), bt))
-		f.ExtTime = append(f.ExtTime, stats.Ratio(float64(ext.Stats.Cycles), bt))
-	}
-	return f, nil
+	red, norm := each(g[1:], uopReduction), ratios(g[1:], g[0], cycles)
+	return &Ext{
+		Names:     opts.names(),
+		PaperRed:  red[0],
+		ExtRed:    red[1],
+		PaperTime: norm[0],
+		ExtTime:   norm[1],
+		Sweep:     sw,
+	}, nil
 }
 
 // Write prints the extension comparison.
@@ -592,3 +478,43 @@ func (f *Ext) Write(w io.Writer) {
 	fmt.Fprintf(w, "mean reduction: paper %s -> extension %s\n",
 		stats.Pct(stats.Mean(f.PaperRed)), stats.Pct(stats.Mean(f.ExtRed)))
 }
+
+// ---------------------------------------------------------------------------
+// Reading a grid.
+
+func (o Options) names() []string {
+	var out []string
+	for _, w := range o.workloads() {
+		out = append(out, w.Name)
+	}
+	return out
+}
+
+// each applies metric to every run of a grid's rows: [row][workload].
+func each(rows [][]*RunResult, metric func(*RunResult) float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
+		out[i] = make([]float64, len(row))
+		for wi, r := range row {
+			out[i][wi] = metric(r)
+		}
+	}
+	return out
+}
+
+// ratios divides metric of every run of a grid's rows by metric of the
+// same workload's run in base: [row][workload].
+func ratios(rows [][]*RunResult, base []*RunResult, metric func(*RunResult) float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
+		out[i] = make([]float64, len(row))
+		for wi, r := range row {
+			out[i][wi] = stats.Ratio(metric(r), metric(base[wi]))
+		}
+	}
+	return out
+}
+
+func committedUops(r *RunResult) float64 { return float64(r.Stats.CommittedUops) }
+func cycles(r *RunResult) float64        { return float64(r.Stats.Cycles) }
+func uopReduction(r *RunResult) float64  { return r.Stats.DynamicUopReduction() }

@@ -100,7 +100,7 @@ func TestFig6Shapes(t *testing.T) {
 
 func TestFig7Shapes(t *testing.T) {
 	opts := smallOpts(t, "xalancbmk", "exchange2")
-	f, err := Fig7Run(opts)
+	f, err := NewSession().Fig7(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFig7Shapes(t *testing.T) {
 
 func TestFig8Shapes(t *testing.T) {
 	opts := smallOpts(t, "xalancbmk", "freqmine")
-	f, err := Fig8Run(opts)
+	f, err := NewSession().Fig8(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFig8Shapes(t *testing.T) {
 
 func TestFig9RunsBothPredictors(t *testing.T) {
 	opts := smallOpts(t, "xalancbmk")
-	f, err := Fig9Run(opts)
+	f, err := NewSession().Fig9(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFig9RunsBothPredictors(t *testing.T) {
 
 func TestFig10SweepsSplits(t *testing.T) {
 	opts := smallOpts(t, "xalancbmk", "perlbench")
-	f, err := Fig10Run(opts)
+	f, err := NewSession().Fig10(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFig10SweepsSplits(t *testing.T) {
 
 func TestFig11WidthMonotonicity(t *testing.T) {
 	opts := smallOpts(t, "xalancbmk", "exchange2")
-	f, err := Fig11Run(opts)
+	f, err := NewSession().Fig11(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestTable1AndOverheadRender(t *testing.T) {
 
 func TestExtensionShapes(t *testing.T) {
 	opts := smallOpts(t, "swaptions", "leela")
-	f, err := ExtRun(opts)
+	f, err := NewSession().Ext(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,11 @@
 // evaluation section (see DESIGN.md's per-experiment index and
 // EXPERIMENTS.md for measured-vs-paper shapes).
 //
-// Every sweep is scheduled through internal/runner: the (workload,
-// configuration) runs fan out across a worker pool and come back in
-// submission order, so the rendered tables are byte-identical to a serial
-// run no matter the Parallel setting.
+// Every figure is one grid: each workload under each of the figure's
+// configurations, scheduled through internal/runner. The runs fan out
+// across a worker pool and come back in submission order, so the
+// rendered tables are byte-identical to a serial run no matter the
+// Parallel setting. A Session shares runs between the figures it runs.
 package harness
 
 import (
@@ -41,10 +42,6 @@ type RunResult struct {
 	// OptReport is the aggregated SCC optimization report; nil unless
 	// Options.Journal attached the journal aggregator.
 	OptReport *obs.SCCReport
-	// JobSlices holds the compaction-job spans for the trace exporter's
-	// scc-unit lane (journaled runs with a tracer in Options.Ctx only:
-	// nothing else reads them).
-	JobSlices []obs.SCCJobSlice
 	// FromCache marks a result rehydrated from a manifest in
 	// Options.CacheDir instead of simulated (the run never executed).
 	FromCache bool
@@ -123,12 +120,14 @@ type Options struct {
 	// before simulation starts — the attach point for obs observers
 	// (PipeTracer, extra samplers). Observers must be pure taps; they may
 	// not alter simulation behaviour. Not invoked on a result-cache hit
-	// (the run never executes), so lifecycle tracing wants CacheDir off.
+	// (the run never executes), so lifecycle tracing wants CacheDir off,
+	// nor for a run a Session reused.
 	Observe func(*pipeline.Machine)
-	// OnResult, when non-nil, is invoked for every completed run of a
-	// sweep in submission order after the sweep returns; i is the job's
-	// submission index. Used by the CLIs to write per-run manifests.
-	// Not called when the sweep fails.
+	// OnResult, when non-nil, is invoked after an experiment's sweep
+	// returns for every cell of its grid, reused runs included, in
+	// [configuration][workload] order; i is the cell's index in that
+	// order. Used by the CLIs to write per-run manifests. Not called
+	// when the sweep fails.
 	OnResult func(i int, r *RunResult)
 	// Progress is forwarded to the scheduler's live progress hook
 	// (runner.Config.Progress); the hook must not affect results.
@@ -336,9 +335,6 @@ func measure(ctx context.Context, cfg pipeline.Config, w workloads.Workload, opt
 	res.Samples = samples
 	if journal != nil {
 		res.OptReport = journal.Report(w.Name)
-		if tr, _ := tracing.FromContext(ctx); tr != nil {
-			res.JobSlices = journal.JobSlices()
-		}
 	}
 	if opts.CacheDir != "" {
 		storeCached(opts.CacheDir, res)
@@ -378,29 +374,103 @@ func windowSpans(ctx context.Context) func(obs.Interval) {
 	}
 }
 
-// job wraps one (configuration, workload) run as a schedulable unit.
-func job(cfg pipeline.Config, w workloads.Workload, opts Options) runner.Job[*RunResult] {
-	return runner.Job[*RunResult]{
-		Name: w.Name,
-		Run: func(ctx context.Context) (*RunResult, error) {
-			return measure(ctx, cfg, w, opts)
-		},
-	}
+// Session remembers the runs its experiments simulated, so a later
+// experiment reuses a run instead of simulating it again: sccbench runs
+// every figure in one session, and the baseline and full-SCC runs that
+// figures 7 to 11 and the extension need are figure 6's. A session
+// serves experiments run one after another and holds no lock. A nil
+// *Session shares nothing and computes no keys.
+type Session struct {
+	runs map[runKey]*RunResult
 }
 
-// sweep fans the jobs out across the pool and returns results in
-// submission order plus the sweep's telemetry summary. On success every
-// result is also handed to Options.OnResult in submission order.
-func sweep(opts Options, jobs []runner.Job[*RunResult]) ([]*RunResult, *runner.Summary, error) {
-	results, sum, err := runner.Run(opts.ctx(), opts.runnerConfig(), jobs)
-	if err == nil && opts.OnResult != nil {
-		for i, r := range results {
-			if r != nil {
-				opts.OnResult(i, r)
+// NewSession returns a session that holds no runs yet.
+func NewSession() *Session { return &Session{runs: map[runKey]*RunResult{}} }
+
+// runKey is a run's identity in a session: the identity that decides a
+// result-cache hit, the ConfigHash of the workload and effective
+// configuration, plus the options that add to a RunResult beyond it.
+type runKey struct {
+	configHash  string
+	sampleEvery uint64
+	journal     bool
+}
+
+func keyOf(cfg pipeline.Config, w workloads.Workload, opts Options) runKey {
+	cfg.MaxUops = opts.maxUops(w)
+	return runKey{obs.ConfigHash(w.Name, cfg), opts.SampleEvery, opts.Journal}
+}
+
+// Sweep reports how an experiment's grid ran: the scheduler telemetry of
+// the runs it simulated, and how many of its cells reused a run of the
+// session instead.
+type Sweep struct {
+	Timing *runner.Summary
+	Reused int
+}
+
+// Summary renders the sweep as one line, the reused count appended when
+// there is one.
+func (s Sweep) Summary() string {
+	if s.Reused == 0 {
+		return s.Timing.String()
+	}
+	return fmt.Sprintf("%s; %d reused", s.Timing, s.Reused)
+}
+
+// grid runs every workload of opts under each configuration and returns
+// the results as [configuration][workload]. A run the session holds is
+// reused; the rest fan out across the pool as one sweep, submitted in
+// [configuration][workload] order. On success the session records the
+// new runs and every cell is handed to Options.OnResult in that order; a
+// failed sweep records nothing.
+func (s *Session) grid(opts Options, cfgs ...pipeline.Config) ([][]*RunResult, Sweep, error) {
+	ws := opts.workloads()
+	cells := make([]*RunResult, len(cfgs)*len(ws))
+	var jobs []runner.Job[*RunResult]
+	var at []int      // the cell each job fills
+	var keys []runKey // each job's run identity, with a session
+	for ci, cfg := range cfgs {
+		for wi, w := range ws {
+			i := ci*len(ws) + wi
+			if s != nil {
+				k := keyOf(cfg, w, opts)
+				if r, ok := s.runs[k]; ok {
+					cells[i] = r
+					continue
+				}
+				keys = append(keys, k)
 			}
+			jobs = append(jobs, runner.Job[*RunResult]{
+				Name: w.Name,
+				Run: func(ctx context.Context) (*RunResult, error) {
+					return measure(ctx, cfg, w, opts)
+				},
+			})
+			at = append(at, i)
 		}
 	}
-	return results, sum, err
+	results, sum, err := runner.Run(opts.ctx(), opts.runnerConfig(), jobs)
+	sw := Sweep{Timing: sum, Reused: len(cells) - len(jobs)}
+	if err != nil {
+		return nil, sw, err
+	}
+	for j, r := range results {
+		cells[at[j]] = r
+		if s != nil {
+			s.runs[keys[j]] = r
+		}
+	}
+	if opts.OnResult != nil {
+		for i, r := range cells {
+			opts.OnResult(i, r)
+		}
+	}
+	g := make([][]*RunResult, len(cfgs))
+	for ci := range g {
+		g[ci] = cells[ci*len(ws) : (ci+1)*len(ws)]
+	}
+	return g, sw, nil
 }
 
 // RunOne executes one workload under one configuration and returns the
@@ -408,9 +478,10 @@ func sweep(opts Options, jobs []runner.Job[*RunResult]) ([]*RunResult, *runner.S
 // shares the same fault isolation (a panicking simulation reports an
 // error instead of crashing the caller).
 func RunOne(cfg pipeline.Config, w workloads.Workload, opts Options) (*RunResult, error) {
-	res, _, err := sweep(opts, []runner.Job[*RunResult]{job(cfg, w, opts)})
+	opts.Workloads = []workloads.Workload{w}
+	g, _, err := (*Session)(nil).grid(opts, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return g[0][0], nil
 }

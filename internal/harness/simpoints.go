@@ -237,6 +237,7 @@ func blockHeads(w workloads.Workload) []uint64 {
 		}
 	}
 	var out []uint64
+	// order-independent: collects the keys, sorted below
 	for h := range heads {
 		out = append(out, h)
 	}

@@ -133,6 +133,7 @@ func DiffIndexes(base, cur *Index, th DiffThresholds) *DiffReport {
 	bk, ck := keyEntries(base), keyEntries(cur)
 
 	keys := make([]string, 0, len(bk))
+	// order-independent: collects keys, sorted below
 	for k := range bk {
 		if _, ok := ck[k]; ok {
 			keys = append(keys, k)
@@ -140,6 +141,7 @@ func DiffIndexes(base, cur *Index, th DiffThresholds) *DiffReport {
 			rep.OnlyBase = append(rep.OnlyBase, k)
 		}
 	}
+	// order-independent: collects keys, sorted below
 	for k := range ck {
 		if _, ok := bk[k]; !ok {
 			rep.OnlyNew = append(rep.OnlyNew, k)

@@ -46,17 +46,12 @@ type JournalAggregator struct {
 
 	forensics        []Forensic
 	forensicsDropped uint64
-
-	slices []SCCJobSlice
 }
 
 // forensicsCap bounds the retained squash-forensics list; per-line and
 // per-transform aggregates stay exact past the cap, only the event-level
 // detail rows are dropped (and counted).
 const forensicsCap = 1000
-
-// sliceCap bounds the retained compaction-job slices for the trace lane.
-const sliceCap = 8192
 
 // topN bounds the per-ranking line lists in the report.
 const topN = 10
@@ -161,16 +156,6 @@ func (a *JournalAggregator) onJob(ev scc.JobEvent) {
 	a.jobs[ev.JobID] = j
 	l := a.line(ev.PC)
 	l.jobIDs = append(l.jobIDs, ev.JobID)
-	start := uint64(0)
-	if ev.Cycle > uint64(ev.Cycles) {
-		start = ev.Cycle - uint64(ev.Cycles)
-	}
-	if len(a.slices) < sliceCap {
-		a.slices = append(a.slices, SCCJobSlice{
-			JobID: ev.JobID, PC: ev.PC, Start: start, Cycles: uint64(ev.Cycles),
-			Committed: ev.Committed, Abort: ev.Abort.String(),
-		})
-	}
 }
 
 func (a *JournalAggregator) onSelect(ev scc.SelectEvent) {
@@ -219,21 +204,6 @@ func (a *JournalAggregator) onSquash(ev scc.SquashEvent) {
 		a.forensicsDropped++
 	}
 }
-
-// SCCJobSlice is one compaction job's span in unit-busy cycles, for the
-// Chrome trace export's scc-unit lane.
-type SCCJobSlice struct {
-	JobID     uint64
-	PC        uint64
-	Start     uint64 // dispatch cycle
-	Cycles    uint64 // unit busy cycles
-	Committed bool
-	Abort     string
-}
-
-// JobSlices returns the recorded compaction-job spans, at most sliceCap
-// of them, for the trace exporter.
-func (a *JournalAggregator) JobSlices() []SCCJobSlice { return a.slices }
 
 // Forensic is one squash's forensic record: the violated invariant
 // attributed back to the job and transform that planted it.
@@ -394,6 +364,7 @@ func (a *JournalAggregator) Report(workload string) *SCCReport {
 
 	// Per-transform win/loss tallies.
 	var wins, losses [scc.NumTransformKinds]uint64
+	// order-independent: integer sums
 	for _, j := range a.jobs {
 		v := j.validated()
 		for k := 0; k < scc.NumTransformKinds; k++ {
@@ -412,6 +383,7 @@ func (a *JournalAggregator) Report(workload string) *SCCReport {
 
 	// Per-line reports.
 	reports := make([]LineReport, 0, len(a.lines))
+	// order-independent: integer sums, and the reports are sorted below with ties broken by PC
 	for pc, l := range a.lines {
 		lr := LineReport{
 			PC:        pc,

@@ -6,7 +6,6 @@ package obs_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -18,7 +17,6 @@ import (
 	"sccsim/internal/obs"
 	"sccsim/internal/pipeline"
 	"sccsim/internal/scc"
-	"sccsim/internal/tracing"
 	"sccsim/internal/workloads"
 )
 
@@ -356,63 +354,6 @@ func TestWriteOptReportPaths(t *testing.T) {
 	}
 	if !bytes.Contains(text, []byte("SCC optimization report")) {
 		t.Errorf("text path did not produce the text rendering:\n%s", text)
-	}
-}
-
-// TestJournalTraceLane: the scc-unit lane lays every recorded job over
-// the traced run's harness.simulate slice, in the run's process, and
-// stays silent for a zero-cycle run.
-func TestJournalTraceLane(t *testing.T) {
-	w, ok := workloads.ByName("xalancbmk")
-	if !ok {
-		t.Fatal("unknown workload xalancbmk")
-	}
-	tr := tracing.New(tracing.MintTraceID())
-	root := tr.StartSpan("sccsim", tracing.SpanID{})
-	res, err := harness.RunOne(pipeline.IcelakeSCC(scc.LevelFull), w, harness.Options{
-		Ctx:     tracing.NewContext(context.Background(), tr, root),
-		MaxUops: 20_000, Journal: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.JobSlices) == 0 {
-		t.Fatal("journaled run recorded no job slices")
-	}
-	tr.Finish()
-	spans := tr.Spans()
-	var sim tracing.SpanData
-	for _, sd := range spans {
-		if sd.Name == "harness.simulate" {
-			sim = sd
-		}
-	}
-
-	ct := obs.NewTrace(spans)
-	bare := decodeTrace(t, ct)
-	ct.AddSCCLane(sim, 0, res.JobSlices)
-	if n := len(decodeTrace(t, ct)); n != len(bare) {
-		t.Errorf("a zero-cycle lane added %d events", n-len(bare))
-	}
-	ct.AddSCCLane(sim, res.Stats.Cycles, res.JobSlices)
-	slices := checkLanes(t, decodeTrace(t, ct))
-	simEv := byName(slices)["harness.simulate"]
-	jobs := 0
-	for _, e := range slices {
-		if !strings.HasPrefix(e.Cat, "scc-job") {
-			continue
-		}
-		jobs++
-		if e.PID != simEv.PID || e.start() < simEv.start() || e.end() > simEv.end() {
-			t.Errorf("%s in pid %d [%d, %d] escapes harness.simulate in pid %d [%d, %d]",
-				e.Name, e.PID, e.start(), e.end(), simEv.PID, simEv.start(), simEv.end())
-		}
-		if _, ok := e.Args["job_id"]; !ok {
-			t.Errorf("%s carries no job_id arg", e.Name)
-		}
-	}
-	if jobs != len(res.JobSlices) {
-		t.Errorf("trace has %d job slices, journal recorded %d", jobs, len(res.JobSlices))
 	}
 }
 

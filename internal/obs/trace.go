@@ -44,13 +44,12 @@ type traceFile struct {
 type Trace struct {
 	events []traceEvent
 	base   time.Time
-	pids   map[tracing.SpanID]int // each rendered span's process
 }
 
 // NewTrace renders spans, a finished trace (Tracer.Finish, then Spans).
 // A span whose parent is not among them is a root.
 func NewTrace(spans []tracing.SpanData) *Trace {
-	t := &Trace{pids: make(map[tracing.SpanID]int, len(spans))}
+	t := &Trace{}
 	known := make(map[tracing.SpanID]bool, len(spans))
 	for _, sd := range spans {
 		known[sd.SpanID] = true
@@ -104,7 +103,6 @@ func (t *Trace) subtree(sd tracing.SpanData, children map[tracing.SpanID][]traci
 
 // slice renders one span; its attributes, ids and error become args.
 func (t *Trace) slice(sd tracing.SpanData, pid, tid int) {
-	t.pids[sd.SpanID] = pid
 	args := map[string]any{
 		"trace_id": sd.TraceID.String(),
 		"span_id":  sd.SpanID.String(),
@@ -135,46 +133,6 @@ func (t *Trace) meta(kind string, pid, tid int, name string) {
 }
 
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// sccLaneTID keeps the scc-unit lane clear of the span lanes.
-const sccLaneTID = 1 << 20
-
-// AddSCCLane lays a run's compaction jobs over its harness.simulate span
-// sim as an "scc-unit" lane of the span's process. Jobs are measured in
-// simulated cycles, so each is placed by its cycle share of the run
-// (totalCycles is the run's final count): the lane shows when in the run
-// the unit was busy, not where host time went.
-func (t *Trace) AddSCCLane(sim tracing.SpanData, totalCycles uint64, slices []SCCJobSlice) {
-	pid, ok := t.pids[sim.SpanID]
-	if !ok || totalCycles == 0 || len(slices) == 0 {
-		return
-	}
-	t.meta("thread_name", pid, sccLaneTID, "scc-unit")
-	perCycle := float64(sim.End.Sub(sim.Start)) / float64(totalCycles)
-	// at truncates, so a job that ends by the last cycle ends inside sim.
-	at := func(cycle uint64) time.Duration {
-		return sim.Start.Sub(t.base) + time.Duration(float64(cycle)*perCycle)
-	}
-	for _, s := range slices {
-		cat := "scc-job"
-		if !s.Committed {
-			cat = "scc-job,discarded"
-		}
-		start := at(s.Start)
-		t.events = append(t.events, traceEvent{
-			Name: fmt.Sprintf("job %d @ %#x", s.JobID, s.PC), Cat: cat, Ph: "X",
-			TS: micros(start), Dur: micros(at(s.Start+s.Cycles) - start),
-			PID: pid, TID: sccLaneTID,
-			Args: map[string]any{
-				"job_id":    s.JobID,
-				"pc":        fmt.Sprintf("%#x", s.PC),
-				"cycles":    s.Cycles,
-				"committed": s.Committed,
-				"abort":     s.Abort,
-			},
-		})
-	}
-}
 
 // Encode writes the catapult JSON object.
 func (t *Trace) Encode(w io.Writer) error {

@@ -99,6 +99,7 @@ func newFingerprint(iv Interval) fingerprint {
 		return fingerprint{}
 	}
 	f := fingerprint{pcs: make([]uint64, 0, len(iv.Vec))}
+	// order-independent: collects the keys, sorted below
 	for pc := range iv.Vec {
 		f.pcs = append(f.pcs, pc)
 	}

@@ -127,30 +127,34 @@ func Run(cfg Config, w Workload, opts Options) (*RunResult, error) {
 	return harness.RunOne(cfg, w, opts)
 }
 
+// noSession runs each figure on its own: the façade's figure functions
+// share no runs between calls.
+var noSession *harness.Session
+
 // Figure6 regenerates Figure 6 (committed-uop reduction, normalized
 // execution time and squash overhead across the optimization ladder).
-func Figure6(opts Options) (*harness.Fig6, error) { return harness.Fig6Run(opts) }
+func Figure6(opts Options) (*harness.Fig6, error) { return noSession.Fig6(opts) }
 
 // Figure7 regenerates Figure 7 (micro-op fetch-source mix).
-func Figure7(opts Options) (*harness.Fig7, error) { return harness.Fig7Run(opts) }
+func Figure7(opts Options) (*harness.Fig7, error) { return noSession.Fig7(opts) }
 
 // Figure8 regenerates Figure 8 (normalized energy).
-func Figure8(opts Options) (*harness.Fig8, error) { return harness.Fig8Run(opts) }
+func Figure8(opts Options) (*harness.Fig8, error) { return noSession.Fig8(opts) }
 
 // Figure9 regenerates Figure 9 (H3VP vs EVES value-predictor sensitivity).
-func Figure9(opts Options) (*harness.Fig9, error) { return harness.Fig9Run(opts) }
+func Figure9(opts Options) (*harness.Fig9, error) { return noSession.Fig9(opts) }
 
 // Figure10 regenerates Figure 10 (micro-op cache partition-size
 // sensitivity).
-func Figure10(opts Options) (*harness.Fig10, error) { return harness.Fig10Run(opts) }
+func Figure10(opts Options) (*harness.Fig10, error) { return noSession.Fig10(opts) }
 
 // Figure11 regenerates Figure 11 (constant-width sensitivity and the
 // live-out census).
-func Figure11(opts Options) (*harness.Fig11, error) { return harness.Fig11Run(opts) }
+func Figure11(opts Options) (*harness.Fig11, error) { return noSession.Fig11(opts) }
 
 // Extension regenerates the future-work extension comparison (FP and
 // complex-integer compaction, default-off in the paper configuration).
-func Extension(opts Options) (*harness.Ext, error) { return harness.ExtRun(opts) }
+func Extension(opts Options) (*harness.Ext, error) { return noSession.Ext(opts) }
 
 // SimPointSweep estimates every workload's whole-program IPC from
 // SimPoint representatives under full SCC, simulating each interval
